@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zg_tensor::{available_threads, gemm_naive, gemm_tiled, gemm_with_threads, Tensor};
+use zg_tensor::{gemm_naive, gemm_simd, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -28,7 +28,6 @@ fn bench_matmul(c: &mut Criterion) {
 fn bench_gemm_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("gemm_kernel");
-    let threads = available_threads();
     for &n in &[64usize, 128, 256] {
         let a: Vec<f32> = (0..n * n).map(|_| rng.gen::<f32>() - 0.5).collect();
         let b: Vec<f32> = (0..n * n).map(|_| rng.gen::<f32>() - 0.5).collect();
@@ -39,17 +38,10 @@ fn bench_gemm_kernels(c: &mut Criterion) {
                 black_box(out)
             })
         });
-        group.bench_function(format!("tiled_{n}"), |bench| {
+        group.bench_function(format!("simd_{n}"), |bench| {
             bench.iter(|| {
                 let mut out = vec![0.0f32; n * n];
-                gemm_tiled(false, false, n, n, n, &a, &b, &mut out);
-                black_box(out)
-            })
-        });
-        group.bench_function(format!("threaded{threads}_{n}"), |bench| {
-            bench.iter(|| {
-                let mut out = vec![0.0f32; n * n];
-                gemm_with_threads(false, false, n, n, n, &a, &b, &mut out, threads);
+                gemm_simd(false, false, n, n, n, &a, &b, &mut out);
                 black_box(out)
             })
         });

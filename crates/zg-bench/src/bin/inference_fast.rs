@@ -1,5 +1,5 @@
 //! Inference fast-path benchmark: measures each layer of the speedup
-//! stack — tiled/SIMD GEMM microkernels, int8 quantized inference, KV
+//! stack — the SIMD GEMM kernel, int8 quantized inference, KV
 //! prefix-reused continuation scoring, chunked prefill decoding, and
 //! parallel benchmark evaluation — against the historical
 //! implementations, and writes `results/inference_fast.json`.
@@ -8,7 +8,7 @@
 //!
 //! 1. baseline: naive GEMM, full-forward continuation scoring,
 //!    token-by-token prompt ingestion, serial items;
-//! 2. +tiled GEMM (same scoring path);
+//! 2. +auto GEMM (SIMD above the naive crossover; same scoring path);
 //! 3. +KV prefix reuse and chunked prefill (serial items);
 //! 4. +parallel item evaluation (all cores);
 //! 5. +int8 quantized frozen weights (parallel).
@@ -26,8 +26,8 @@ use rand::SeedableRng;
 use zg_bench::{quick_mode, write_result};
 use zg_model::{CausalLm, ModelConfig};
 use zg_tensor::{
-    available_threads, gemm_naive, gemm_simd, gemm_tiled, gemm_with_threads, set_gemm_kernel,
-    simd_available, GemmKernel, QuantizedMatrix,
+    available_threads, gemm_naive, gemm_simd, set_gemm_kernel, simd_available, GemmKernel,
+    QuantizedMatrix,
 };
 use zg_tokenizer::Special;
 use zg_zigong::{
@@ -78,7 +78,6 @@ fn gemm_section(quick: bool) -> serde_json::Value {
             (128, 768, 64),
         ]
     };
-    let threads = available_threads();
     let mut rows = Vec::new();
     for &(m, n, k) in shapes {
         let a = mat(1, m * k);
@@ -88,14 +87,6 @@ fn gemm_section(quick: bool) -> serde_json::Value {
         let t_naive = time_call(|| {
             c.iter_mut().for_each(|v| *v = 0.0);
             gemm_naive(false, false, m, n, k, &a, &b, &mut c);
-        });
-        let t_tiled = time_call(|| {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_tiled(false, false, m, n, k, &a, &b, &mut c);
-        });
-        let t_threaded = time_call(|| {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_with_threads(false, false, m, n, k, &a, &b, &mut c, threads);
         });
         let t_simd = time_call(|| {
             c.iter_mut().for_each(|v| *v = 0.0);
@@ -108,27 +99,20 @@ fn gemm_section(quick: bool) -> serde_json::Value {
         let mut qc = vec![0.0f32; m * n];
         let t_quant = time_call(|| qb.matmul_into(&a, m, &mut qc));
         println!(
-            "gemm {m}x{n}x{k}: naive {:.2} GF/s, tiled {:.2} GF/s ({:.2}x), simd {:.2} GF/s ({:.2}x), int8 {:.2} GF/s ({:.2}x), threaded({threads}) {:.2} GF/s",
+            "gemm {m}x{n}x{k}: naive {:.2} GF/s, simd {:.2} GF/s ({:.2}x), int8 {:.2} GF/s ({:.2}x)",
             flops / t_naive / 1e9,
-            flops / t_tiled / 1e9,
-            t_naive / t_tiled,
             flops / t_simd / 1e9,
             t_naive / t_simd,
             flops / t_quant / 1e9,
             t_naive / t_quant,
-            flops / t_threaded / 1e9,
         );
         rows.push(serde_json::json!({
             "m": m, "n": n, "k": k,
             "naive_gflops": flops / t_naive / 1e9,
-            "tiled_gflops": flops / t_tiled / 1e9,
             "simd_gflops": flops / t_simd / 1e9,
             "quant_gflops": flops / t_quant / 1e9,
-            "threaded_gflops": flops / t_threaded / 1e9,
-            "tiled_speedup": t_naive / t_tiled,
             "simd_speedup": t_naive / t_simd,
             "quant_speedup": t_naive / t_quant,
-            "threads": threads,
         }));
     }
     serde_json::Value::Array(rows)
@@ -250,7 +234,7 @@ fn decode_section(m: &ZiGongModel, quick: bool) -> serde_json::Value {
             logits = m.lm.step(next, &mut cache);
         }
     });
-    // New: chunked prefill + tiled/threaded GEMM.
+    // New: chunked prefill + auto GEMM.
     set_gemm_kernel(GemmKernel::Auto);
     let t_new = time_call(|| {
         let _ =
@@ -364,12 +348,12 @@ fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::V
     );
 
     set_gemm_kernel(GemmKernel::Auto);
-    let (t_tiled, acc_tiled) = run(&mut || evaluate_classifier(&mut OldPath(m), items).eval.acc);
+    let (t_auto, acc_auto) = run(&mut || evaluate_classifier(&mut OldPath(m), items).eval.acc);
     push(
         "auto gemm (simd on avx2) + full-forward scoring (serial)",
-        t_tiled,
+        t_auto,
         t_base,
-        acc_tiled,
+        acc_auto,
     );
 
     let (t_kv, acc_kv) = run(&mut || evaluate_zigong(m, items, 1).eval.acc);

@@ -1,6 +1,6 @@
 //! `zg-lint`: the workspace invariant checker.
 //!
-//! The parallel TracSeq engine and the tiled GEMM fast path are pinned
+//! The parallel TracSeq engine and the SIMD GEMM fast path are pinned
 //! bit-identical to their reference implementations; the KS/pruning
 //! numbers in the paper reproduction depend on stable rankings. Those
 //! guarantees die silently the first time a result-affecting `HashMap`

@@ -4,16 +4,18 @@
 //!
 //! ## Exactness contract
 //!
-//! `ZiGongEngine` serves [`Payload::Score`] with *exactly* the float-op
-//! sequence of the offline `ZiGongModel::evaluate_item`, and
-//! [`Payload::Generate`] with exactly `ZiGongModel::generate_answer`.
-//! Prefix sharing is bitwise-transparent (split prefill — including the
-//! multi-way splits the LCP path takes — is bit-identical to whole
-//! prefill, pinned by `zg-model`'s `split_prefill_bit_identity` test)
-//! and replicas are bit-exact rebuilds of one [`ZiGongSpec`], so the
-//! served answer and probability are exact-`f64` equal to the offline
-//! evaluator for **any** worker count, **any** request interleaving, and
-//! **any** routing decision.
+//! `ZiGongEngine` serves [`Payload::Score`] through
+//! [`ZiGongModel::decide`] — the routine the offline
+//! `ZiGongModel::evaluate_item` runs, with the prompt prefill taken from
+//! the prefix pool instead of a fresh cache — and [`Payload::Generate`]
+//! with exactly `ZiGongModel::generate_answer`. Prefix sharing is
+//! bitwise-transparent (split prefill — including the multi-way splits
+//! the LCP path takes — is bit-identical to whole prefill, pinned by
+//! `zg-model`'s `split_prefill_bit_identity` test) and replicas are
+//! bit-exact rebuilds of one [`ZiGongSpec`], so the served answer and
+//! probability are exact-`f64` equal to the offline evaluator for **any**
+//! worker count, **any** request interleaving, and **any** routing
+//! decision.
 //!
 //! ## Prefix reuse
 //!
@@ -43,13 +45,9 @@
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread::JoinHandle;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use zg_model::{KvCache, PrefixBlock, PrefixPool, PrefixStats};
-use zg_tensor::GemmKernel;
-use zg_tokenizer::Special;
+use zg_model::{CausalLm, KvCache, PrefixBlock, PrefixPool, PrefixStats};
 use zg_trace::Clock;
-use zg_zigong::{two_way_probability, ZiGongModel, ZiGongSpec, ANSWER_TOKENS, SCORE_RESERVE};
+use zg_zigong::{DecisionStage, ZiGongModel, ZiGongSpec};
 
 use crate::ops::{RequestObs, Stage};
 use crate::queue::QueuedRequest;
@@ -89,12 +87,6 @@ pub struct EngineConfig {
     /// prefixes are evicted LRU-first once their summed token length
     /// exceeds this (leased entries are never evicted).
     pub pool_budget_tokens: usize,
-    /// GEMM kernel pinned on each replica's serving thread (worker
-    /// threads own the setting for life; the inline engine pins the
-    /// calling thread when the replica is built). Defaults to the
-    /// process-wide [`zg_tensor::default_gemm_kernel`], which honors the
-    /// `ZG_GEMM_KERNEL` environment knob.
-    pub kernel: GemmKernel,
     /// Serve with int8 quantized inference on frozen base weights. Each
     /// replica calibrates after rebuilding from the spec; calibration is
     /// a pure function of the weights, so replicas stay bit-identical to
@@ -107,21 +99,19 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             pool_budget_tokens: 4096,
-            kernel: zg_tensor::default_gemm_kernel(),
             quantized: false,
         }
     }
 }
 
 /// One worker's state: a bit-exact model replica plus its private
-/// prefix pool. Also used inline when `workers <= 1`.
+/// prefix pool. Also used inline when `workers <= 1`. Its GEMM kernel is
+/// the serving thread's: worker threads start on
+/// [`zg_tensor::default_gemm_kernel`], the inline replica uses the
+/// caller's selection.
 struct Replica {
     model: ZiGongModel,
     pool: PrefixPool,
-    /// Greedy decoding at temperature 0 never consumes this RNG; it only
-    /// satisfies the sampler's signature. Seeded to match the offline
-    /// evaluator for auditability.
-    rng: StdRng,
     /// Ops-plane stage clock; `None` (the default) makes every stamp a
     /// no-op, so observation-off serving does zero extra work.
     stage_clock: Option<Clock>,
@@ -133,10 +123,6 @@ struct Replica {
 
 impl Replica {
     fn new(spec: &ZiGongSpec, cfg: &EngineConfig) -> Replica {
-        // Pin the GEMM kernel for this replica's serving thread. Worker
-        // replicas are built on their own thread, so the thread-local
-        // setting is private to them; the inline replica pins the caller.
-        zg_tensor::set_gemm_kernel(cfg.kernel);
         let model = spec.build();
         if cfg.quantized {
             model.set_quantized(true);
@@ -144,137 +130,47 @@ impl Replica {
         Replica {
             model,
             pool: PrefixPool::new(cfg.pool_budget_tokens),
-            rng: StdRng::seed_from_u64(0xD1D1),
             stage_clock: None,
             marks: Vec::new(),
             obs: Vec::new(),
         }
     }
 
-    /// Stamp `stage` at the ops clock's current tick (no-op when no
-    /// stage clock is installed).
-    fn stamp(&mut self, stage: Stage) {
-        if let Some(clock) = &self.stage_clock {
-            self.marks.push((stage, clock()));
-        }
-    }
-
-    /// Prefill `ids[from..]` onto `cache` in chunks, inserting a pool
-    /// entry — and holding its lease in `leases` — at each boundary in
-    /// `bounds` (ascending; boundaries at or before `from`, or not
-    /// strictly inside the prompt, are skipped). Returns the full-prompt
-    /// next-token logits.
-    ///
-    /// Bit-identical to `lm.prefill(&ids[from..])` in one shot: split
-    /// prefill is bitwise-transparent for arbitrary multi-way splits
-    /// (see module docs).
-    fn prefill_suffix(
-        &mut self,
-        ids: &[u32],
-        mut from: usize,
-        bounds: &[usize],
-        cache: &mut KvCache,
-        leases: &mut Vec<PrefixBlock>,
-    ) -> Vec<f32> {
-        for &b in bounds {
-            if b <= from || b >= ids.len() {
-                continue;
-            }
-            // INVARIANT: from < b < ids.len() by the guard above, so both
-            // the chunk slice and the key slice are in bounds and non-empty.
-            let row = self.model.lm.prefill(&ids[from..b], cache);
-            // INVARIANT: b < ids.len() by the same guard, so the key slice
-            // is in bounds.
-            leases.push(self.pool.insert(&ids[..b], cache.fork(), row));
-            from = b;
-        }
-        // INVARIANT: every accepted boundary is < ids.len(), so at least
-        // one token remains and prefill's non-empty precondition holds.
-        self.model.lm.prefill(&ids[from..], cache)
-    }
-
-    /// Prefill `ids` reusing (and feeding) the radix prefix pool.
-    /// Returns the full-prompt cache, the next-token logits, and the
-    /// leases pinning every pooled block this request touches.
-    ///
-    /// The pool's longest cached prefix is leased and forked; only the
-    /// suffix is prefilled, with entries re-inserted at (a) the
-    /// divergence point between this prompt and previously seen traffic
-    /// (`shared_prefix_len` — the template header as discovered from the
-    /// requests themselves) and (b) the extended prefix covering all but
-    /// the last prompt token. All paths are bit-identical to
-    /// `lm.prefill(ids)` in one shot.
-    fn prefill_shared(&mut self, ids: &[u32]) -> (KvCache, Vec<f32>, Vec<PrefixBlock>) {
-        let mut leases = Vec::new();
-        let (mut cache, base) = match self.pool.acquire(ids) {
-            Some((block, len)) => {
-                let (cache, _prefix_logits) = block.fork();
-                leases.push(block);
-                (cache, len)
-            }
-            None => (self.model.lm.new_cache(), 0),
-        };
-        let seed = self.pool.shared_prefix_len(ids);
-        let ext = ids.len().saturating_sub(1);
-        let logits = self.prefill_suffix(ids, base, &[seed, ext], &mut cache, &mut leases);
-        (cache, logits, leases)
-    }
-
-    /// Serve one scoring request — the float-op mirror of
-    /// `ZiGongModel::evaluate_item`, with the single prompt prefill
-    /// routed through the prefix pool.
+    /// Serve one scoring request: [`ZiGongModel::decide`] with the
+    /// prompt prefill routed through the prefix pool and each decision
+    /// step stamped on the request's timeline.
     fn serve_score(&mut self, prompt: &str, negative: &str, positive: &str) -> Reply {
         let _span = zg_trace::span("serve.score");
-        let _leak = zg_tensor::GraphLeakGuard::new("ZiGongEngine::serve_score");
-        let p_ans = self.model.prompt_ids(prompt, ANSWER_TOKENS);
-        let p_score = self.model.prompt_ids(prompt, SCORE_RESERVE);
-        if p_ans != p_score {
-            // Truncation split the budgets; fall back to the offline
-            // evaluator's independent answer/score paths verbatim.
-            let answer = self.model.generate_answer(prompt, ANSWER_TOKENS);
-            self.stamp(Stage::Decode);
-            let neg = self.model.tokenizer.encode(&format!(" {negative}"));
-            let pos = self.model.tokenizer.encode(&format!(" {positive}"));
-            let scores = self.model.lm.score_continuations(&p_score, &[&neg, &pos]);
-            // INVARIANT: score_continuations returns one score per continuation (2 here).
-            let p = two_way_probability(scores[0] as f64, scores[1] as f64, neg.len(), pos.len());
-            self.stamp(Stage::Score);
-            return Reply::Scored {
-                answer,
-                p_positive: p,
-            };
-        }
-        let neg = self.model.tokenizer.encode(&format!(" {negative}"));
-        let pos = self.model.tokenizer.encode(&format!(" {positive}"));
-        let (cache, logits, _leases) = self.prefill_shared(&p_ans);
-        self.stamp(Stage::Prefill);
-        // Greedy answer decode on a fork — same sampling as the offline
-        // path (temperature 0: pure argmax, RNG untouched).
-        let mut fork = cache.fork();
-        let mut row = logits.clone();
-        let mut out = Vec::new();
-        for _ in 0..ANSWER_TOKENS {
-            let next = zg_model::sample_logits(&row, 0.0, &mut self.rng);
-            if next == Special::Eos.id() {
-                break;
-            }
-            out.push(next);
-            row = self.model.lm.step(next, &mut fork);
-        }
-        let answer = self.model.tokenizer.decode(&out);
-        self.stamp(Stage::Decode);
-        let scores = self
-            .model
-            .lm
-            .score_continuations_with_cache(&cache, &logits, &[&neg, &pos]);
-        // INVARIANT: score_continuations_with_cache returns one score per
-        // continuation (2 here).
-        let p = two_way_probability(scores[0] as f64, scores[1] as f64, neg.len(), pos.len());
-        self.stamp(Stage::Score);
-        Reply::Scored {
-            answer,
-            p_positive: p,
-        }
+        let Replica {
+            model,
+            pool,
+            stage_clock,
+            marks,
+            ..
+        } = self;
+        // The prefill's leases pin every pooled block it touched until the
+        // decision returns.
+        let mut leases = Vec::new();
+        let (answer, p_positive) = model.decide(
+            prompt,
+            negative,
+            positive,
+            |lm, ids| {
+                let (cache, logits, held) = prefill_shared(pool, lm, ids);
+                leases = held;
+                (cache, logits)
+            },
+            |step| {
+                let stage = match step {
+                    DecisionStage::Prefill => Stage::Prefill,
+                    DecisionStage::Decode => Stage::Decode,
+                    DecisionStage::Score => Stage::Score,
+                };
+                stamp(stage_clock, marks, stage);
+            },
+        );
+        drop(leases);
+        Reply::Scored { answer, p_positive }
     }
 
     /// Serve one generation request — exactly
@@ -283,7 +179,7 @@ impl Replica {
         let _span = zg_trace::span("serve.generate");
         let _leak = zg_tensor::GraphLeakGuard::new("ZiGongEngine::serve_generate");
         let text = self.model.generate_answer(prompt, max_new);
-        self.stamp(Stage::Decode);
+        stamp(&self.stage_clock, &mut self.marks, Stage::Decode);
         Reply::Generated { text }
     }
 
@@ -329,6 +225,58 @@ impl Replica {
         }
         Ok(())
     }
+}
+
+/// Stamp `stage` at the ops clock's current tick (no-op when no stage
+/// clock is installed).
+fn stamp(clock: &Option<Clock>, marks: &mut Vec<(Stage, f64)>, stage: Stage) {
+    if let Some(clock) = clock {
+        marks.push((stage, clock()));
+    }
+}
+
+/// Prefill `ids` reusing (and feeding) the radix prefix pool. Returns the
+/// full-prompt cache, the next-token logits, and the leases pinning every
+/// pooled block this request touches.
+///
+/// The pool's longest cached prefix is leased and forked; only the suffix
+/// is prefilled, in chunks that insert (and lease) an entry at (a) the
+/// divergence point between this prompt and previously seen traffic
+/// (`shared_prefix_len` — the template header as discovered from the
+/// requests themselves) and (b) the extended prefix covering all but the
+/// last prompt token. Split prefill is bitwise-transparent for arbitrary
+/// multi-way splits (see module docs), so every path is bit-identical to
+/// `lm.prefill(ids)` in one shot.
+fn prefill_shared(
+    pool: &mut PrefixPool,
+    lm: &CausalLm,
+    ids: &[u32],
+) -> (KvCache, Vec<f32>, Vec<PrefixBlock>) {
+    let mut leases = Vec::new();
+    let (mut cache, mut from) = match pool.acquire(ids) {
+        Some((block, len)) => {
+            let (cache, _prefix_logits) = block.fork();
+            leases.push(block);
+            (cache, len)
+        }
+        None => (lm.new_cache(), 0),
+    };
+    for b in [pool.shared_prefix_len(ids), ids.len().saturating_sub(1)] {
+        if b <= from || b >= ids.len() {
+            continue;
+        }
+        // INVARIANT: from < b < ids.len() by the guard above, so the chunk
+        // and key slices are in bounds and non-empty.
+        let row = lm.prefill(&ids[from..b], &mut cache);
+        // INVARIANT: b < ids.len() by the same guard, so the key slice is
+        // in bounds.
+        leases.push(pool.insert(&ids[..b], cache.fork(), row));
+        from = b;
+    }
+    // INVARIANT: every accepted boundary is < ids.len(), so at least one
+    // token remains and prefill's non-empty precondition holds.
+    let logits = lm.prefill(&ids[from..], &mut cache);
+    (cache, logits, leases)
 }
 
 enum Msg {

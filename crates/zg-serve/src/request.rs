@@ -39,8 +39,9 @@ impl Priority {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Answer + positive-class probability for one credit instruction
-    /// (the Table-2 evaluation item, served online): mirrors
-    /// `ZiGongModel::evaluate_item`.
+    /// (the Table-2 evaluation item, served online): computed by
+    /// `ZiGongModel::decide`, the routine `ZiGongModel::evaluate_item`
+    /// runs.
     Score {
         /// Rendered instruction prompt.
         prompt: String,

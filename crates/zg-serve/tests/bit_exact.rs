@@ -175,13 +175,15 @@ fn served_scores_independent_of_request_interleaving() {
 
 /// Narrow context: the two prompt budgets truncate differently, so the
 /// server must take the offline evaluator's independent-paths fallback —
-/// and match it exactly.
+/// and match it exactly. Two extra prompts sit on either side of the
+/// switch: `max_seq_len − 9` tokens still take the shared path through
+/// the prefix pool, `max_seq_len − 8` tokens the fallback.
 #[test]
 fn served_scores_bit_identical_on_truncation_fallback() {
     let mut m = model(64);
     let ds = german(12, 7);
     let refs: Vec<_> = ds.records.iter().take(5).collect();
-    let items = eval_items(&ds, &refs);
+    let mut items = eval_items(&ds, &refs);
     for it in &items {
         assert_ne!(
             m.prompt_ids(&it.example.prompt, ANSWER_TOKENS),
@@ -189,11 +191,34 @@ fn served_scores_bit_identical_on_truncation_fallback() {
             "narrow budget must force the fallback path"
         );
     }
+    let shared_max = m.max_seq_len - (SCORE_RESERVE + 1);
+    for (len, shared) in [(shared_max, true), (shared_max + 1, false)] {
+        // The byte-level tokenizer encodes one token per byte.
+        let mut example = items[0].example.clone();
+        example.prompt = example.prompt[example.prompt.len() - len..].to_string();
+        assert_eq!(m.tokenizer.encode(&example.prompt).len(), len);
+        assert_eq!(
+            m.prompt_ids(&example.prompt, ANSWER_TOKENS)
+                == m.prompt_ids(&example.prompt, SCORE_RESERVE),
+            shared,
+            "{len}-token prompt"
+        );
+        items.push(EvalItem {
+            record: items[0].record,
+            example,
+        });
+    }
     let offline = offline_eval(&mut m, &items);
     let identity: Vec<usize> = (0..items.len()).collect();
     for workers in [1usize, 2] {
-        let served = serve_eval(&m, &items, workers, &identity);
+        let (served, stats) = serve_eval_with_budget(&m, &items, workers, &identity, 1 << 14);
         assert_bit_equal(&served, &offline, &format!("fallback workers={workers}"));
+        // Only the shared path looks the prompt up in the prefix pool.
+        assert_eq!(
+            stats.hits + stats.misses,
+            1,
+            "workers={workers}: exactly one prompt takes the shared path"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
-//! Measures the naive/tiled/SIMD crossover on small square GEMMs to
-//! validate the `Auto` dispatch thresholds (`TILED_MIN_FLOPS`,
-//! `SIMD_MIN_FLOPS` in `ops_matmul.rs`). Run with:
+//! Measures the naive/SIMD crossover on small square GEMMs to validate
+//! the `Auto` dispatch threshold (`SIMD_MIN_FLOPS` in `ops_matmul.rs`).
+//! Run with:
 //!
 //! ```text
 //! cargo run --release -p zg-tensor --example gemm_crossover
@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use zg_tensor::{gemm_naive, gemm_simd, gemm_tiled, simd_available};
+use zg_tensor::{gemm_naive, gemm_simd, simd_available};
 
 fn mat(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -40,10 +40,7 @@ fn time_call(mut f: impl FnMut()) -> f64 {
 
 fn main() {
     println!("avx2: {}", simd_available());
-    println!(
-        "{:>5} {:>12} {:>12} {:>12}  winner",
-        "dim", "naive ns", "tiled ns", "simd ns"
-    );
+    println!("{:>5} {:>12} {:>12}  winner", "dim", "naive ns", "simd ns");
     for dim in [4usize, 6, 8, 12, 16, 20, 24, 32, 48, 64, 96] {
         let (m, n, k) = (dim, dim, dim);
         let a = mat(1, m * k);
@@ -53,25 +50,14 @@ fn main() {
             c.iter_mut().for_each(|v| *v = 0.0);
             gemm_naive(false, false, m, n, k, &a, &b, &mut c);
         });
-        let t_tiled = time_call(|| {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_tiled(false, false, m, n, k, &a, &b, &mut c);
-        });
         let t_simd = time_call(|| {
             c.iter_mut().for_each(|v| *v = 0.0);
             gemm_simd(false, false, m, n, k, &a, &b, &mut c);
         });
-        let winner = if t_simd <= t_tiled && t_simd <= t_naive {
-            "simd"
-        } else if t_tiled <= t_naive {
-            "tiled"
-        } else {
-            "naive"
-        };
+        let winner = if t_simd <= t_naive { "simd" } else { "naive" };
         println!(
-            "{dim:>5} {:>12.0} {:>12.0} {:>12.0}  {winner}",
+            "{dim:>5} {:>12.0} {:>12.0}  {winner}",
             t_naive * 1e9,
-            t_tiled * 1e9,
             t_simd * 1e9
         );
     }

@@ -49,8 +49,8 @@ pub use gradcheck::{gradcheck, GradCheckReport};
 pub use init::randn_sample;
 pub use leak::{live_tape_nodes, GraphLeakGuard};
 pub use ops_matmul::{
-    available_threads, default_gemm_kernel, gemm, gemm_kernel, gemm_naive, gemm_tiled,
-    gemm_with_threads, set_gemm_kernel, GemmKernel,
+    available_threads, default_gemm_kernel, gemm, gemm_kernel, gemm_naive, set_gemm_kernel,
+    GemmKernel,
 };
 pub use pool::{
     clear_pool, live_pooled_buffers, pool_stats, pool_stats_scope, reset_pool_stats,

@@ -1,32 +1,28 @@
 //! Batched matrix multiplication with broadcastable leading (batch)
-//! dimensions, plus the row-major GEMM kernels used throughout.
+//! dimensions, plus the row-major GEMM dispatch used throughout.
 //!
-//! Three f32 kernels live here (plus the int8 path in [`crate::quant`]):
+//! Two f32 kernels serve [`gemm`] (plus the int8 path in [`crate::quant`]):
 //!
 //! * [`gemm_naive`] — the original scalar triple loops, kept as the
 //!   bit-exact reference and as the small-matrix fallback.
-//! * [`gemm_tiled`] — a packed, register-blocked microkernel
-//!   (`MR`×`NR` accumulator tiles over packed A/B panels) with a
-//!   row-partitioned multi-threaded dispatch for large products.
-//! * [`crate::gemm_simd`] — the cache-blocked AVX2 kernel in
-//!   [`crate::simd`], selected by [`GemmKernel::Simd`] and preferred by
-//!   [`GemmKernel::Auto`] when the CPU supports it.
+//! * [`crate::gemm_simd`] — the cache-blocked kernel in [`crate::simd`]:
+//!   an AVX2 microkernel behind a runtime CPUID check, with a portable
+//!   microkernel on other hosts, and a row-partitioned multi-threaded
+//!   dispatch for large products.
 //!
-//! The tiled and SIMD kernels load the destination tile into their
-//! accumulators before the k-loop and add products in ascending-k
-//! order, which is exactly the float-operation order of the naive
-//! `ikj`/`kij` loops — so for every call site in this workspace (all of
-//! which either start from a zero `c` or accumulate through the
-//! `(ta=false)`/`(tb=false)` variants) both are **bit-identical** to
-//! the naive kernel, and the threaded dispatches are bit-identical to
-//! serial because each thread computes a disjoint set of output rows
-//! with the same kernel. (Caveat from PR 1 still applies: the CI
-//! container is 1-core, so the threaded path is exercised via explicit
-//! worker counts in tests.)
+//! The SIMD kernel loads the destination tile into its accumulators
+//! before the k-loop and adds products in ascending-k order, which is
+//! exactly the float-operation order of the naive `ikj`/`kij` loops — so
+//! for every call site in this workspace (all of which either start from
+//! a zero `c` or accumulate through the `tb = false` variants) it is
+//! **bit-identical** to the naive kernel, and the threaded dispatch is
+//! bit-identical to serial because each thread computes a disjoint set
+//! of output rows with the same kernel.
 
 use std::cell::Cell;
 
 use crate::shape::{Shape, StridedIter};
+use crate::simd::{MR, NR};
 use crate::tensor::Tensor;
 
 /// Which GEMM kernel [`gemm`] dispatches to. Thread-local; defaults to
@@ -36,30 +32,26 @@ use crate::tensor::Tensor;
 /// same build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
-    /// Original scalar triple loops, always.
+    /// Original scalar triple loops, always (the reference oracle).
     Naive,
-    /// Tiled microkernel, single-threaded.
-    Tiled,
-    /// Cache-blocked AVX2 microkernel ([`crate::gemm_simd`]),
-    /// single-threaded; falls back to its portable edge kernel on
-    /// non-AVX2 hosts with bit-identical results.
+    /// Cache-blocked SIMD kernel ([`crate::gemm_simd`]), single-threaded:
+    /// the AVX2 microkernel when the CPU has it, else its bit-identical
+    /// portable microkernel.
     Simd,
-    /// Best available kernel (SIMD when the CPU supports it, else
-    /// tiled); large products additionally fan output rows across
-    /// `available_parallelism` threads.
+    /// The SIMD kernel above the naive crossover; large products
+    /// additionally fan output rows across `available_parallelism`
+    /// threads.
     Auto,
 }
 
 /// The process-wide default kernel: `ZG_GEMM_KERNEL` ∈
-/// `naive|tiled|simd|auto` when set (read once), else
-/// [`GemmKernel::Auto`]. CI uses the env override to force every test
-/// through a specific kernel.
+/// `naive|simd|auto` when set (read once), else [`GemmKernel::Auto`]. CI
+/// uses the env override to force every test through a specific kernel.
 pub fn default_gemm_kernel() -> GemmKernel {
     use std::sync::OnceLock;
     static DEFAULT: OnceLock<GemmKernel> = OnceLock::new();
     *DEFAULT.get_or_init(|| match std::env::var("ZG_GEMM_KERNEL").as_deref() {
         Ok("naive") => GemmKernel::Naive,
-        Ok("tiled") => GemmKernel::Tiled,
         Ok("simd") => GemmKernel::Simd,
         _ => GemmKernel::Auto,
     })
@@ -80,21 +72,11 @@ pub fn gemm_kernel() -> GemmKernel {
     GEMM_KERNEL.with(Cell::get)
 }
 
-/// Microkernel tile height (output rows per packed A panel).
-const MR: usize = 8;
-/// Microkernel tile width (output cols per packed B panel).
-const NR: usize = 8;
-
 /// Below this `m·n·k` the packing overhead dominates and the naive
-/// loops win; measured crossover is around a 16³ product.
-const TILED_MIN_FLOPS: usize = 16 * 16 * 16;
-/// Above this `m·n·k` the KC-blocked SIMD kernel's extra packing
-/// bookkeeping is amortized and it beats both other kernels; below it
-/// (but above `TILED_MIN_FLOPS`) `Auto` keeps the tiled kernel.
-/// Measured on the CI host (`examples/gemm_crossover.rs`): naive wins
-/// through 8³, SIMD wins from 12³ up — so the floor sits at the naive
-/// guard and the tiled middle band is empty on AVX2 hosts.
-const SIMD_MIN_FLOPS: usize = TILED_MIN_FLOPS;
+/// loops win. Measured with `examples/gemm_crossover.rs`: naive wins
+/// through 6³, the winner flips between runs at 8³–12³, and SIMD wins
+/// from 16³ up — so the floor sits at 16³.
+const SIMD_MIN_FLOPS: usize = 16 * 16 * 16;
 /// Minimum `m·n·k` before the row-threaded dispatch is worth the
 /// thread-spawn cost (~10 µs per scoped thread).
 const THREADED_MIN_FLOPS: usize = 128 * 128 * 128;
@@ -103,7 +85,7 @@ const THREADED_MIN_FLOPS: usize = 128 * 128 * 128;
 ///
 /// Logical dimensions are always `(m, k) · (k, n) -> (m, n)`; the `ta`/`tb`
 /// flags say the physical buffer is stored transposed. Dispatches to the
-/// kernel selected by [`set_gemm_kernel`]: the tiled microkernel (with
+/// kernel selected by [`set_gemm_kernel`]: the SIMD kernel (with
 /// row-threading for large products under [`GemmKernel::Auto`]), falling
 /// back to the naive loops for small products where packing costs more
 /// than it saves.
@@ -114,39 +96,23 @@ pub fn gemm(ta: bool, tb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f3
     // not just the thread-local selection.
     enum Dispatch {
         Naive,
-        Tiled,
         Simd,
-        Threaded(usize),
         SimdThreaded(usize),
     }
     let dispatch = match gemm_kernel() {
         GemmKernel::Naive => Dispatch::Naive,
-        _ if flops < TILED_MIN_FLOPS || m < MR / 2 || n < NR / 2 => Dispatch::Naive,
-        GemmKernel::Tiled => Dispatch::Tiled,
+        _ if flops < SIMD_MIN_FLOPS || m < MR / 2 || n < NR / 2 => Dispatch::Naive,
         GemmKernel::Simd => Dispatch::Simd,
-        GemmKernel::Auto => {
-            let simd = crate::simd::simd_available();
-            let threads = if flops >= THREADED_MIN_FLOPS {
-                available_threads()
-            } else {
-                1
-            };
-            match (simd, threads > 1) {
-                (true, true) => Dispatch::SimdThreaded(threads),
-                (true, false) if flops >= SIMD_MIN_FLOPS => Dispatch::Simd,
-                (true, false) => Dispatch::Tiled,
-                (false, true) => Dispatch::Threaded(threads),
-                (false, false) => Dispatch::Tiled,
-            }
+        GemmKernel::Auto if flops >= THREADED_MIN_FLOPS && available_threads() > 1 => {
+            Dispatch::SimdThreaded(available_threads())
         }
+        GemmKernel::Auto => Dispatch::Simd,
     };
     if zg_trace::enabled() {
         zg_trace::counter_add(
             match dispatch {
                 Dispatch::Naive => "gemm.dispatch.naive",
-                Dispatch::Tiled => "gemm.dispatch.tiled",
                 Dispatch::Simd => "gemm.dispatch.simd",
-                Dispatch::Threaded(_) => "gemm.dispatch.threaded",
                 Dispatch::SimdThreaded(_) => "gemm.dispatch.simd_threaded",
             },
             1.0,
@@ -155,22 +121,10 @@ pub fn gemm(ta: bool, tb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f3
     }
     match dispatch {
         Dispatch::Naive => gemm_naive(ta, tb, m, n, k, a, b, c),
-        Dispatch::Tiled => gemm_tiled(ta, tb, m, n, k, a, b, c),
         Dispatch::Simd => crate::simd::gemm_simd(ta, tb, m, n, k, a, b, c),
-        Dispatch::Threaded(threads) => gemm_with_threads(ta, tb, m, n, k, a, b, c, threads),
         Dispatch::SimdThreaded(threads) => {
             crate::simd::gemm_simd_with_threads(ta, tb, m, n, k, a, b, c, threads)
         }
-    }
-}
-
-/// The fastest *serial* kernel on this host — what batch-parallel
-/// workers pin to avoid nested thread spawns.
-pub(crate) fn serial_kernel() -> GemmKernel {
-    if crate::simd::simd_available() {
-        GemmKernel::Simd
-    } else {
-        GemmKernel::Tiled
     }
 }
 
@@ -273,182 +227,6 @@ pub fn gemm_naive(
     }
 }
 
-/// Packed B: all `NR`-wide column panels of `op(b)`, zero-padded on the
-/// right edge so the microkernel inner loop is branch-free. Panel `jp`
-/// occupies `bp[jp·k·NR .. (jp+1)·k·NR]` with layout `[p][jj]`.
-fn pack_b(tb: bool, b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let n_panels = n.div_ceil(NR);
-    let mut bp = crate::pool::take_zeroed(n_panels * k * NR);
-    for jp in 0..n_panels {
-        let col0 = jp * NR;
-        let nr = NR.min(n - col0);
-        let panel = &mut bp[jp * k * NR..(jp + 1) * k * NR];
-        if tb {
-            // b physically (n, k): column j of op(b) is row j of b.
-            for jj in 0..nr {
-                let src = &b[(col0 + jj) * k..(col0 + jj + 1) * k];
-                for (p, &v) in src.iter().enumerate() {
-                    panel[p * NR + jj] = v;
-                }
-            }
-        } else {
-            for (p, chunk) in panel.chunks_exact_mut(NR).enumerate() {
-                chunk[..nr].copy_from_slice(&b[p * n + col0..p * n + col0 + nr]);
-            }
-        }
-    }
-    bp
-}
-
-/// Pack `mr` rows of `op(a)` starting at `row0` into `ap` (layout
-/// `[p][i]`, zero-padded to `MR` rows).
-fn pack_a_panel(ta: bool, a: &[f32], m: usize, k: usize, row0: usize, mr: usize, ap: &mut [f32]) {
-    debug_assert_eq!(ap.len(), k * MR);
-    ap.fill(0.0);
-    if ta {
-        // a physically (k, m): row i of op(a) is column i of a.
-        for (p, chunk) in ap.chunks_exact_mut(MR).enumerate() {
-            chunk[..mr].copy_from_slice(&a[p * m + row0..p * m + row0 + mr]);
-        }
-    } else {
-        for i in 0..mr {
-            let src = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            for (p, &v) in src.iter().enumerate() {
-                ap[p * MR + i] = v;
-            }
-        }
-    }
-}
-
-/// The register-blocked microkernel: `MR`×`NR` accumulators seeded from
-/// the destination tile, then one fused pass over `k` adding
-/// `a[p][i]·b[p][j]` in ascending-`p` order (the naive kernels' float
-/// order). Fixed loop bounds let LLVM unroll and vectorize the body.
-#[inline]
-fn microkernel(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(ap.len() >= k * MR && bp.len() >= k * NR);
-    for p in 0..k {
-        let av = &ap[p * MR..p * MR + MR];
-        let bv = &bp[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let aa = av[i];
-            for (accv, &bb) in acc[i].iter_mut().zip(bv) {
-                *accv += aa * bb;
-            }
-        }
-    }
-}
-
-/// Tiled GEMM over `nrows` output rows starting at global row
-/// `row_start`, against a pre-packed B. `c_chunk` holds exactly those
-/// rows (chunk-local row 0 = global `row_start`). Each `MR`-row band
-/// packs its A panel once and sweeps all B panels.
-#[allow(clippy::too_many_arguments)]
-fn gemm_tiled_rows(
-    ta: bool,
-    a: &[f32],
-    bp: &[f32],
-    c_chunk: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    row_start: usize,
-    nrows: usize,
-) {
-    debug_assert_eq!(c_chunk.len(), nrows * n);
-    // Scratch: pack_a_panel zero-fills the panel before every band.
-    let mut ap = crate::pool::take_scratch(k * MR);
-    let mut band = 0;
-    while band < nrows {
-        let mr = MR.min(nrows - band);
-        pack_a_panel(ta, a, m, k, row_start + band, mr, &mut ap);
-        let mut col0 = 0;
-        let mut jp = 0;
-        while col0 < n {
-            let nr = NR.min(n - col0);
-            // Seed accumulators from the destination tile so the
-            // accumulation order matches the naive sequential loops.
-            let mut acc = [[0.0f32; NR]; MR];
-            for (i, acci) in acc.iter_mut().enumerate().take(mr) {
-                let crow = &c_chunk[(band + i) * n + col0..(band + i) * n + col0 + nr];
-                acci[..nr].copy_from_slice(crow);
-            }
-            microkernel(k, &ap, &bp[jp * k * NR..(jp + 1) * k * NR], &mut acc);
-            for (i, acci) in acc.iter().enumerate().take(mr) {
-                let crow = &mut c_chunk[(band + i) * n + col0..(band + i) * n + col0 + nr];
-                crow.copy_from_slice(&acci[..nr]);
-            }
-            col0 += NR;
-            jp += 1;
-        }
-        band += MR;
-    }
-    crate::pool::recycle(ap);
-}
-
-/// Single-threaded tiled GEMM (`c += op(a)·op(b)`), any shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tiled(
-    ta: bool,
-    tb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    gemm_with_threads(ta, tb, m, n, k, a, b, c, 1);
-}
-
-/// Tiled GEMM with the output rows partitioned across `threads` scoped
-/// worker threads. Every worker runs the identical kernel over a
-/// disjoint, contiguous row range of `c`, so the result is bit-identical
-/// to `threads = 1` for every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with_threads(
-    ta: bool,
-    tb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let bp = pack_b(tb, b, k, n);
-    // Row bands per thread, aligned to MR so no panel straddles workers.
-    let bands = m.div_ceil(MR);
-    let threads = threads.clamp(1, bands.max(1));
-    if threads == 1 {
-        gemm_tiled_rows(ta, a, &bp, c, m, n, k, 0, m);
-        crate::pool::recycle(bp);
-        return;
-    }
-    let bands_per = bands.div_ceil(threads);
-    let rows_per = bands_per * MR;
-    let bp_ref = &bp;
-    std::thread::scope(|s| {
-        let mut rest = c;
-        let mut row0 = 0;
-        while row0 < m {
-            let take = rows_per.min(m - row0);
-            let (chunk, tail) = rest.split_at_mut(take * n);
-            rest = tail;
-            let r0 = row0;
-            s.spawn(move || {
-                gemm_tiled_rows(ta, a, bp_ref, chunk, m, n, k, r0, take);
-            });
-            row0 += take;
-        }
-    });
-    crate::pool::recycle(bp);
-}
-
 /// Split a shape into (batch dims, rows, cols) for matmul.
 fn split_matrix(shape: &Shape) -> (&[usize], usize, usize) {
     let dims = shape.dims();
@@ -541,9 +319,9 @@ fn batched_matmul_forward(
             let aoffs = &plan.a_offsets[b0..b0 + take];
             let boffs = &plan.b_offsets[b0..b0 + take];
             s.spawn(move || {
-                // Inside a worker, force the best serial kernel to
-                // avoid nested thread spawns.
-                let prev = set_gemm_kernel(serial_kernel());
+                // Inside a worker, force the serial kernel to avoid
+                // nested thread spawns.
+                let prev = set_gemm_kernel(GemmKernel::Simd);
                 for (ci, (&ao, &bo)) in aoffs.iter().zip(boffs).enumerate() {
                     per_batch(ao, bo, &mut chunk[ci * m * n..(ci + 1) * m * n]);
                 }
@@ -592,7 +370,7 @@ impl Tensor {
                 let ad = a.data();
                 let bd = b.data();
                 // Both gradient GEMMs below go through `gemm()` and so
-                // follow the thread's kernel selection (Auto → tiled /
+                // follow the thread's kernel selection (Auto → SIMD /
                 // threaded for large products); zeroed scratch because
                 // broadcast batches accumulate at repeated offsets.
                 //
@@ -713,52 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn tiled_matches_naive_exactly_nn() {
-        // (ta=false, *) and c = 0 cases are bit-exact by construction.
-        for (m, n, k) in [(8, 8, 8), (16, 24, 32), (13, 7, 9), (1, 9, 4), (64, 64, 64)] {
-            let a = mat(m as u64 ^ 1, m * k);
-            let b = mat(n as u64 ^ 2, k * n);
-            let mut c0 = vec![0.0; m * n];
-            let mut c1 = vec![0.0; m * n];
-            gemm_naive(false, false, m, n, k, &a, &b, &mut c0);
-            gemm_tiled(false, false, m, n, k, &a, &b, &mut c1);
-            assert_eq!(c0, c1, "({m},{n},{k}) tiled must be bit-exact vs naive");
-        }
-    }
-
-    #[test]
-    fn tiled_accumulates_into_nonzero_c() {
-        // The sequential (ta=false/true, tb=false) naive loops add one
-        // product at a time into c; the c-seeded accumulators reproduce
-        // that order exactly even when c starts non-zero.
-        let (m, n, k) = (10, 12, 5);
-        let b = mat(4, k * n);
-        let seed = mat(5, m * n);
-        for ta in [false, true] {
-            let a = mat(3, m * k);
-            let mut c0 = seed.clone();
-            let mut c1 = seed.clone();
-            gemm_naive(ta, false, m, n, k, &a, &b, &mut c0);
-            gemm_tiled(ta, false, m, n, k, &a, &b, &mut c1);
-            assert_eq!(c0, c1, "ta={ta}: accumulation order must match naive");
-        }
-    }
-
-    #[test]
-    fn threaded_bit_identical_to_serial() {
-        let (m, n, k) = (37, 29, 23);
-        let a = mat(7, m * k);
-        let b = mat(8, k * n);
-        let mut c1 = vec![0.0; m * n];
-        gemm_with_threads(false, false, m, n, k, &a, &b, &mut c1, 1);
-        for threads in [2, 3, 5, 8] {
-            let mut ct = vec![0.0; m * n];
-            gemm_with_threads(false, false, m, n, k, &a, &b, &mut ct, threads);
-            assert_eq!(c1, ct, "threads={threads} must be bit-identical");
-        }
-    }
-
-    #[test]
     fn kernel_knob_round_trips() {
         // The thread default honors ZG_GEMM_KERNEL (CI forces kernels
         // through it), so compare against the resolved default rather
@@ -777,8 +509,8 @@ mod tests {
         // Audit: the dA/dB gradient GEMMs inside the matmul backward
         // closure dispatch through `gemm()` (so they obey the thread's
         // kernel selection) rather than hard-coding `gemm_naive`. Pin the
-        // tiled kernel, use a product large enough to clear
-        // TILED_MIN_FLOPS, and require bit-identical gradients vs the
+        // SIMD kernel, use a product large enough to clear
+        // SIMD_MIN_FLOPS, and require bit-identical gradients vs the
         // naive oracle (dA is a c=0 (false,true) product, dB a c=0
         // (true,false) product — both bit-exact cases).
         let (m, k, n) = (24, 20, 24);
@@ -793,15 +525,9 @@ mod tests {
             (a.grad().unwrap(), b.grad().unwrap())
         };
         let (ga_naive, gb_naive) = run(GemmKernel::Naive);
-        let (ga_tiled, gb_tiled) = run(GemmKernel::Tiled);
-        assert_eq!(
-            ga_naive, ga_tiled,
-            "dA must be bit-identical tiled vs naive"
-        );
-        assert_eq!(
-            gb_naive, gb_tiled,
-            "dB must be bit-identical tiled vs naive"
-        );
+        let (ga_simd, gb_simd) = run(GemmKernel::Simd);
+        assert_eq!(ga_naive, ga_simd, "dA must be bit-identical simd vs naive");
+        assert_eq!(gb_naive, gb_simd, "dB must be bit-identical simd vs naive");
     }
 
     #[test]

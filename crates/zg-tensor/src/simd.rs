@@ -15,19 +15,30 @@
 //! The microkernel holds the full `MR`×`NR` accumulator tile in eight
 //! 8-lane vector registers, seeds it from the destination tile, and adds
 //! `a[p][i]·b[p][j]` products with **separate multiply and add** (never
-//! FMA) in ascending-`p` order. Every output element therefore sees
-//! exactly the float-operation sequence of the naive and tiled kernels:
-//! `c[i][j] + x₀ + x₁ + …` with ascending-`k` products — so the SIMD
-//! kernel is **bit-identical** to [`crate::gemm_tiled`] for every shape,
-//! transpose flag, and initial `c`, and bit-identical to
-//! [`crate::gemm_naive`] in the same cases the tiled kernel is (all
-//! call sites in this workspace). Lane parallelism runs across output
-//! *columns*, which are independent accumulators — no reassociation.
+//! FMA) in ascending-`p` order. Every output element therefore sees the
+//! float-operation sequence `c[i][j] + x₀ + x₁ + …` with ascending-`k`
+//! products. Lane parallelism runs across output *columns*, which are
+//! independent accumulators — no reassociation.
 //!
-//! On x86-64 the microkernel is AVX2 intrinsics behind a runtime CPUID
-//! check; everywhere else (and for edge tiles narrower than the full
-//! 8×8) a portable per-lane loop computes the identical per-element
-//! operation sequence, so results do not depend on which path ran.
+//! That is the naive kernel's order whenever it adds products into `c`
+//! one at a time, so the SIMD kernel is **bit-identical** to
+//! [`crate::gemm_naive`] from a zero `c` under every transpose flag, and
+//! into a nonzero `c` when `tb = false`. With `tb = true` the naive loops
+//! sum the products in a register and add that sum to `c` once, which
+//! rounds differently when `c ≠ 0` (agreement within tolerance). Every
+//! call site in this workspace is one of the bit-identical cases.
+//!
+//! Three microkernels compute that per-element sequence:
+//!
+//! * `mk8x8_avx2` — AVX2 intrinsics for full 8×8 tiles, behind a runtime
+//!   CPUID check on x86-64;
+//! * `mk8x8` — the portable full-tile path, for hosts without AVX2;
+//! * `mk_edge` — partial tiles at the right and bottom edges, on every
+//!   host.
+//!
+//! The AVX2 and portable paths are bit-identical for every shape,
+//! transpose flag, and initial `c`, so results do not depend on which
+//! path ran.
 
 use crate::pool;
 
@@ -195,10 +206,35 @@ unsafe fn mk8x8_avx2(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc
     _mm256_storeu_ps(c.add(7 * ldc), acc7);
 }
 
-/// Portable microkernel for edge tiles (`mr < MR` or `nr < NR`) and
-/// non-AVX2 hosts: per output element, the identical seeded ascending-`p`
-/// multiply-then-add sequence as the AVX2 kernel — lane parallelism never
-/// changes a per-element result, so both paths agree bitwise.
+/// Portable 8×8 microkernel for full tiles on hosts without AVX2: the
+/// tile's accumulators seeded from `c`, then per output element the
+/// identical ascending-`p` multiply-then-add sequence as [`mk8x8_avx2`].
+/// Fixed loop bounds let LLVM unroll and vectorize the body.
+#[inline]
+fn mk8x8(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    let mut acc = [[0.0f32; NR]; MR];
+    for (i, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[i * ldc..i * ldc + NR]);
+    }
+    for p in 0..kc {
+        let av = &ap[p * MR..p * MR + MR];
+        let bv = &bp[p * NR..p * NR + NR];
+        for i in 0..MR {
+            let aa = av[i];
+            for (accv, &bb) in acc[i].iter_mut().zip(bv) {
+                *accv += aa * bb;
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        c[i * ldc..i * ldc + NR].copy_from_slice(row);
+    }
+}
+
+/// Portable microkernel for edge tiles (`mr < MR` or `nr < NR`): per
+/// output element, the identical seeded ascending-`p` multiply-then-add
+/// sequence as the full-tile kernels.
 fn mk_edge(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
     debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
     for i in 0..mr {
@@ -219,8 +255,11 @@ fn mk_edge(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usi
 /// against pre-packed B blocks. `c_chunk` holds exactly those rows
 /// (chunk-local row 0 = global `row_start`). Blocks accumulate into `c`
 /// in ascending-`k` order, preserving the per-element float sequence.
+/// Full tiles run the AVX2 microkernel when `avx2` is set and the CPU has
+/// it, else the portable one.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_simd_rows(
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn gemm_simd_rows(
     ta: bool,
     a: &[f32],
     bp: &PackedB,
@@ -230,10 +269,11 @@ pub(crate) fn gemm_simd_rows(
     k: usize,
     row_start: usize,
     nrows: usize,
+    avx2: bool,
 ) {
     debug_assert_eq!(c_chunk.len(), nrows * n);
     #[cfg(target_arch = "x86_64")]
-    let avx2 = simd_available();
+    let avx2 = avx2 && simd_available();
     let mut ap = pool::take_scratch(KC * MR);
     for &(p0, kc, off) in &bp.blocks {
         let mut band = 0;
@@ -244,25 +284,24 @@ pub(crate) fn gemm_simd_rows(
                 let col0 = jp * NR;
                 let nr = NR.min(n - col0);
                 let panel = &bp.buf[off + jp * kc * NR..off + (jp + 1) * kc * NR];
+                let tile = &mut c_chunk[band * n + col0..];
+                if mr < MR || nr < NR {
+                    mk_edge(kc, &ap, panel, tile, n, mr, nr);
+                    continue;
+                }
                 #[cfg(target_arch = "x86_64")]
-                if avx2 && mr == MR && nr == NR {
+                if avx2 {
                     // SAFETY: `ap` holds `kc·MR` packed floats, `panel`
                     // holds `kc·NR`, and the full 8×8 destination tile at
                     // rows `band..band+8`, cols `col0..col0+8` lies inside
                     // `c_chunk` (`mr == MR`, `nr == NR` checked above);
                     // `mk8x8_avx2` requires AVX2, checked at runtime.
                     unsafe {
-                        mk8x8_avx2(
-                            kc,
-                            ap.as_ptr(),
-                            panel.as_ptr(),
-                            c_chunk.as_mut_ptr().add(band * n + col0),
-                            n,
-                        );
+                        mk8x8_avx2(kc, ap.as_ptr(), panel.as_ptr(), tile.as_mut_ptr(), n);
                     }
                     continue;
                 }
-                mk_edge(kc, &ap, panel, &mut c_chunk[band * n + col0..], n, mr, nr);
+                mk8x8(kc, &ap, panel, tile, n);
             }
             band += MR;
         }
@@ -271,8 +310,8 @@ pub(crate) fn gemm_simd_rows(
 }
 
 /// Single-threaded SIMD GEMM (`c += op(a)·op(b)`), any shape. Bit-exact
-/// vs [`crate::gemm_tiled`] always, and vs [`crate::gemm_naive`] under
-/// the same accumulation contract (see module docs).
+/// vs [`crate::gemm_naive`] under the accumulation contract in the module
+/// docs.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_simd(
     ta: bool,
@@ -303,6 +342,25 @@ pub fn gemm_simd_with_threads(
     c: &mut [f32],
     threads: usize,
 ) {
+    gemm_simd_path(ta, tb, m, n, k, a, b, c, threads, true);
+}
+
+/// [`gemm_simd_with_threads`] with the full-tile path chosen by `avx2`:
+/// the AVX2 microkernel when set (and the CPU has it), else the portable
+/// one.
+#[allow(clippy::too_many_arguments)]
+fn gemm_simd_path(
+    ta: bool,
+    tb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    threads: usize,
+    avx2: bool,
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
@@ -310,7 +368,7 @@ pub fn gemm_simd_with_threads(
     let bands = m.div_ceil(MR);
     let threads = threads.clamp(1, bands.max(1));
     if threads == 1 {
-        gemm_simd_rows(ta, a, &bp, c, m, n, k, 0, m);
+        gemm_simd_rows(ta, a, &bp, c, m, n, k, 0, m, avx2);
         bp.recycle();
         return;
     }
@@ -325,7 +383,7 @@ pub fn gemm_simd_with_threads(
             rest = tail;
             let r0 = row0;
             s.spawn(move || {
-                gemm_simd_rows(ta, a, bp_ref, chunk, m, n, k, r0, take);
+                gemm_simd_rows(ta, a, bp_ref, chunk, m, n, k, r0, take, avx2);
             });
             row0 += take;
         }
@@ -336,7 +394,7 @@ pub fn gemm_simd_with_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops_matmul::{gemm_naive, gemm_tiled};
+    use crate::ops_matmul::gemm_naive;
 
     fn mat(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -354,6 +412,7 @@ mod tests {
     fn simd_bit_exact_vs_naive_from_zero() {
         for (m, n, k) in [
             (8, 8, 8),
+            (16, 24, 32),
             (64, 64, 64),
             (13, 7, 9),
             (1, 9, 4),
@@ -371,21 +430,47 @@ mod tests {
     }
 
     #[test]
-    fn simd_bit_exact_vs_tiled_all_variants_nonzero_c() {
-        // Strongest contract: simd == tiled bitwise for every transpose
-        // pair even when accumulating into non-zero c (both kernels seed
-        // their accumulators from c and add ascending-k products).
-        let (m, n, k) = (21, 19, 67);
+    fn simd_accumulates_into_nonzero_c() {
+        // The sequential (ta=false/true, tb=false) naive loops add one
+        // product at a time into c; the c-seeded accumulators reproduce
+        // that order exactly even when c starts non-zero.
+        let (m, n, k) = (10, 12, 5);
+        let b = mat(4, k * n);
         let seed = mat(5, m * n);
         for ta in [false, true] {
-            for tb in [false, true] {
+            let a = mat(3, m * k);
+            let mut c0 = seed.clone();
+            let mut c1 = seed.clone();
+            gemm_naive(ta, false, m, n, k, &a, &b, &mut c0);
+            gemm_simd(ta, false, m, n, k, &a, &b, &mut c1);
+            assert_eq!(c0, c1, "ta={ta}: accumulation order must match naive");
+        }
+    }
+
+    #[test]
+    fn portable_path_bit_identical_to_avx2() {
+        // Strongest contract: the two full-tile paths agree bitwise for
+        // every transpose pair even when accumulating into non-zero c,
+        // across KC=256 block boundaries. 16x24 is all full tiles; 21x19
+        // adds edge rows and columns.
+        if !simd_available() {
+            eprintln!("no AVX2 on this host: only the portable path exists");
+            return;
+        }
+        for (m, n) in [(16, 24), (21, 19)] {
+            for k in [255, 256, 257, 513] {
                 let a = mat(3, m * k);
                 let b = mat(4, k * n);
-                let mut c0 = seed.clone();
-                let mut c1 = seed.clone();
-                gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c0);
-                gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
-                assert_eq!(c0, c1, "({ta},{tb}) simd must match tiled bitwise");
+                let seed = mat(5, m * n);
+                for ta in [false, true] {
+                    for tb in [false, true] {
+                        let mut c0 = seed.clone();
+                        let mut c1 = seed.clone();
+                        gemm_simd_path(ta, tb, m, n, k, &a, &b, &mut c0, 1, false);
+                        gemm_simd_path(ta, tb, m, n, k, &a, &b, &mut c1, 1, true);
+                        assert_eq!(c0, c1, "({m},{n},{k}) ({ta},{tb}) portable vs avx2");
+                    }
+                }
             }
         }
     }
@@ -401,23 +486,6 @@ mod tests {
             let mut ct = vec![0.0; m * n];
             gemm_simd_with_threads(false, false, m, n, k, &a, &b, &mut ct, threads);
             assert_eq!(c1, ct, "threads={threads} must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn kc_block_boundary_exact() {
-        // k straddling the KC=256 boundary exercises multi-block
-        // accumulation into c.
-        for k in [255, 256, 257, 512, 513] {
-            let (m, n) = (9, 11);
-            let a = mat(1, m * k);
-            let b = mat(2, k * n);
-            let seed = mat(3, m * n);
-            let mut c0 = seed.clone();
-            let mut c1 = seed.clone();
-            gemm_tiled(false, false, m, n, k, &a, &b, &mut c0);
-            gemm_simd(false, false, m, n, k, &a, &b, &mut c1);
-            assert_eq!(c0, c1, "k={k} must be bit-exact across KC blocks");
         }
     }
 }

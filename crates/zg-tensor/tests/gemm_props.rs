@@ -1,7 +1,7 @@
-//! Property tests pinning the tiled and SIMD GEMM microkernels to the
-//! naive reference over random shapes — including odd, non-tile- and
-//! non-lane-multiple `m, n, k` — and all four transpose variants, plus
-//! the int8 quantized kernel against its scalar reference.
+//! Property tests pinning the SIMD GEMM kernel to the naive reference
+//! over random shapes — including odd, non-tile- and non-lane-multiple
+//! `m, n, k` — and all four transpose variants, plus the int8 quantized
+//! kernel against its scalar reference.
 //!
 //! Contract under test:
 //!
@@ -9,21 +9,19 @@
 //!   tolerance for arbitrary shapes and a non-zero initial `c`;
 //! * the `tb = false` variants (sequential accumulation in the naive
 //!   loops) and *all* variants starting from `c = 0` are **bit-exact**,
-//!   because the tiled/SIMD kernels seed their accumulator tiles from
-//!   `c` and add products in the same ascending-`k` order;
-//! * the SIMD kernel is bit-identical to the tiled kernel in **all**
-//!   cases (identical per-element float-op order; AVX2 lanes are
-//!   independent output columns with no reassociation);
-//! * the row-threaded dispatches (tiled and SIMD) are bit-identical to
-//!   serial for every worker count (each worker owns a disjoint
-//!   MR-aligned row range);
+//!   because the SIMD kernel seeds its accumulator tiles from `c` and
+//!   adds products in the same ascending-`k` order;
+//! * the row-threaded dispatch is bit-identical to serial for every
+//!   worker count (each worker owns a disjoint MR-aligned row range);
 //! * the int8 AVX2 path is bit-identical to the scalar int8 reference
 //!   (integer accumulation is exact; the dequant expression is shared).
+//!
+//! That the SIMD kernel's AVX2 and portable full-tile paths agree bit for
+//! bit is pinned by the unit tests in `src/simd.rs`, which can pick the
+//! path.
 
 use proptest::prelude::*;
-use zg_tensor::{
-    gemm_naive, gemm_simd, gemm_simd_with_threads, gemm_tiled, gemm_with_threads, QuantizedMatrix,
-};
+use zg_tensor::{gemm_naive, gemm_simd, gemm_simd_with_threads, QuantizedMatrix};
 
 /// Max |x-y| scaled by magnitude over a result pair.
 fn max_rel_err(x: &[f32], y: &[f32]) -> f32 {
@@ -37,30 +35,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn tiled_matches_naive_all_variants(
-        m in 1..40usize,
-        n in 1..40usize,
-        k in 1..40usize,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-        seed in 0u64..1000,
-    ) {
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i as f32 + seed as f32) * 0.61).sin())
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| ((i as f32 * 1.37) + seed as f32).cos())
-            .collect();
-        let mut c0 = vec![0.0f32; m * n];
-        let mut c1 = vec![0.0f32; m * n];
-        gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c1);
-        // From c = 0 every variant accumulates in the same order.
-        prop_assert_eq!(&c0, &c1);
-    }
-
-    #[test]
-    fn tiled_matches_naive_with_accumulation(
+    fn simd_matches_naive_with_accumulation(
         m in 1..40usize,
         n in 1..40usize,
         k in 1..40usize,
@@ -73,7 +48,7 @@ proptest! {
         let mut c0 = seed_c.clone();
         let mut c1 = seed_c;
         gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c1);
+        gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
         if !tb {
             // Sequential naive accumulation: bit-exact even into non-zero c.
             prop_assert_eq!(&c0, &c1);
@@ -103,26 +78,8 @@ proptest! {
         let mut c0 = vec![0.0f32; m * n];
         let mut c1 = vec![0.0f32; m * n];
         gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c1);
+        gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
         prop_assert_eq!(&c0, &c1);
-    }
-
-    #[test]
-    fn threaded_rows_bit_identical(
-        m in 1..40usize,
-        n in 1..40usize,
-        k in 1..40usize,
-        threads in 2usize..9,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-    ) {
-        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.91).sin()).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.47).cos()).collect();
-        let mut serial = vec![0.0f32; m * n];
-        let mut par = vec![0.0f32; m * n];
-        gemm_with_threads(ta, tb, m, n, k, &a, &b, &mut serial, 1);
-        gemm_with_threads(ta, tb, m, n, k, &a, &b, &mut par, threads);
-        prop_assert_eq!(&serial, &par);
     }
 
     #[test]
@@ -143,27 +100,6 @@ proptest! {
         let mut c0 = vec![0.0f32; m * n];
         let mut c1 = vec![0.0f32; m * n];
         gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
-        prop_assert_eq!(&c0, &c1);
-    }
-
-    #[test]
-    fn simd_matches_tiled_bitwise_all_variants_nonzero_c(
-        m in 1..40usize,
-        n in 1..40usize,
-        k in 1..40usize,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-    ) {
-        // Unlike the naive comparison (which needs c = 0 or tb = false),
-        // SIMD vs tiled is bit-identical unconditionally: same per-element
-        // order, vector lanes are independent columns.
-        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.83).sin()).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
-        let seed_c: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.13).tan().clamp(-3.0, 3.0)).collect();
-        let mut c0 = seed_c.clone();
-        let mut c1 = seed_c;
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c0);
         gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
         prop_assert_eq!(&c0, &c1);
     }

@@ -10,7 +10,7 @@ use zg_data::{Dataset, Record};
 use zg_eval::{evaluate_binary, ks_statistic, roc_auc, EvalResult, Prediction};
 use zg_influence::par_map_init;
 use zg_instruct::{parse_binary, render_classification, InstructExample};
-use zg_model::{CausalLm, LmSpec};
+use zg_model::{CausalLm, KvCache, LmSpec};
 use zg_tokenizer::{BpeTokenizer, Special};
 
 /// Token headroom reserved for greedy answer decoding: the budget
@@ -133,7 +133,12 @@ impl ZiGongModel {
     /// Encode a prompt with BOS, left-truncating to leave `reserve` tokens
     /// of headroom.
     pub fn prompt_ids(&self, prompt: &str, reserve: usize) -> Vec<u32> {
-        let ids = self.tokenizer.encode(prompt);
+        self.truncate(&self.tokenizer.encode(prompt), reserve)
+    }
+
+    /// BOS plus the tail of an encoded prompt that leaves `reserve` tokens
+    /// of headroom.
+    fn truncate(&self, ids: &[u32], reserve: usize) -> Vec<u32> {
         let budget = self.max_seq_len.saturating_sub(reserve + 1).max(1);
         let start = ids.len().saturating_sub(budget);
         let mut out = Vec::with_capacity(budget + 1);
@@ -167,41 +172,74 @@ impl ZiGongModel {
             .tokenizer
             .encode(&format!(" {}", example.candidates[1]));
         let scores = self.lm.score_continuations(&prompt, &[&neg, &pos]);
-        two_way_probability(scores[0] as f64, scores[1] as f64, neg.len(), pos.len())
+        two_way_probability(&scores, neg.len(), pos.len())
     }
 
-    /// Answer *and* score one item through a single prompt prefill.
-    ///
-    /// The answer path reserves [`ANSWER_TOKENS`] tokens of headroom and
-    /// the scoring path [`SCORE_RESERVE`]; whenever the prompt fits
-    /// untruncated those budgets encode the prompt to identical ids, so
-    /// one KV prefill serves the greedy answer decode (on a forked
-    /// cache) and both candidate scorings — producing bit-identical text
-    /// and score to the independent [`CreditClassifier::answer`] /
-    /// [`CreditClassifier::score`] calls. Prompts long enough to
-    /// truncate differently per budget fall back to the independent
-    /// paths to preserve those exact semantics.
+    /// Answer *and* score one item: [`ZiGongModel::decide`] with a fresh
+    /// KV cache for the prompt prefill.
     pub fn evaluate_item(&mut self, item: &EvalItem) -> (String, f64) {
         let _span = zg_trace::span("eval.item");
-        // Debug-mode sanitizer: one eval item must not leave autograd tape
-        // nodes behind (the eval loop runs thousands of items).
-        let _leak = zg_tensor::GraphLeakGuard::new("ZiGongModel::evaluate_item");
-        let p_ans = self.prompt_ids(&item.example.prompt, ANSWER_TOKENS);
-        let p_score = self.prompt_ids(&item.example.prompt, SCORE_RESERVE);
+        let ex = &item.example;
+        self.decide(
+            &ex.prompt,
+            &ex.candidates[0],
+            &ex.candidates[1],
+            |lm, ids| {
+                let mut cache = lm.new_cache();
+                let logits = lm.prefill(ids, &mut cache);
+                (cache, logits)
+            },
+            |_| {},
+        )
+    }
+
+    /// One credit decision: the greedy answer to `prompt` and P(`positive`)
+    /// over the two candidate answers — the routine both the offline
+    /// evaluator and the serving engine run.
+    ///
+    /// The prompt is encoded once and truncated for both budgets: the
+    /// answer reserves [`ANSWER_TOKENS`] tokens of headroom, the scoring
+    /// [`SCORE_RESERVE`]. When the prompt fits untruncated under both
+    /// (at most `max_seq_len − SCORE_RESERVE − 1` tokens) the two
+    /// encodings coincide, and one prefill — obtained from `prefill`,
+    /// which returns the prompt's KV cache and next-token logits — serves
+    /// the greedy decode (on a forked cache) and both candidate scorings.
+    /// Longer prompts truncate differently per budget and fall back to
+    /// their own prefills, exactly as [`CreditClassifier::answer`] and
+    /// [`CreditClassifier::score`] compute them. Either way the text and
+    /// score are bit-identical to those two independent calls.
+    ///
+    /// `stage` is called as each step completes: [`DecisionStage::Prefill`]
+    /// (shared path only), then [`DecisionStage::Decode`] and
+    /// [`DecisionStage::Score`].
+    pub fn decide(
+        &mut self,
+        prompt: &str,
+        negative: &str,
+        positive: &str,
+        prefill: impl FnOnce(&CausalLm, &[u32]) -> (KvCache, Vec<f32>),
+        mut stage: impl FnMut(DecisionStage),
+    ) -> (String, f64) {
+        // Debug-mode sanitizer: one decision must not leave autograd tape
+        // nodes behind (evaluation and serving run thousands of them).
+        let _leak = zg_tensor::GraphLeakGuard::new("ZiGongModel::decide");
+        let ids = self.tokenizer.encode(prompt);
+        let p_ans = self.truncate(&ids, ANSWER_TOKENS);
+        let p_score = self.truncate(&ids, SCORE_RESERVE);
+        let neg = self.tokenizer.encode(&format!(" {negative}"));
+        let pos = self.tokenizer.encode(&format!(" {positive}"));
         if p_ans != p_score {
-            return (
-                self.generate_answer(&item.example.prompt, ANSWER_TOKENS),
-                self.positive_probability(&item.example),
-            );
+            let out =
+                self.lm
+                    .generate(&p_ans, ANSWER_TOKENS, 0.0, Special::Eos.id(), &mut self.rng);
+            let answer = self.tokenizer.decode(&out);
+            stage(DecisionStage::Decode);
+            let scores = self.lm.score_continuations(&p_score, &[&neg, &pos]);
+            stage(DecisionStage::Score);
+            return (answer, two_way_probability(&scores, neg.len(), pos.len()));
         }
-        let neg = self
-            .tokenizer
-            .encode(&format!(" {}", item.example.candidates[0]));
-        let pos = self
-            .tokenizer
-            .encode(&format!(" {}", item.example.candidates[1]));
-        let mut cache = self.lm.new_cache();
-        let logits = self.lm.prefill(&p_ans, &mut cache);
+        let (cache, logits) = prefill(&self.lm, &p_ans);
+        stage(DecisionStage::Prefill);
         // Greedy decode on a fork — the same sampling as `generate` at
         // temperature 0.
         let mut fork = cache.fork();
@@ -215,19 +253,33 @@ impl ZiGongModel {
             out.push(next);
             row = self.lm.step(next, &mut fork);
         }
-        let text = self.tokenizer.decode(&out);
+        let answer = self.tokenizer.decode(&out);
+        stage(DecisionStage::Decode);
         let scores = self
             .lm
             .score_continuations_with_cache(&cache, &logits, &[&neg, &pos]);
-        let p = two_way_probability(scores[0] as f64, scores[1] as f64, neg.len(), pos.len());
-        (text, p)
+        stage(DecisionStage::Score);
+        (answer, two_way_probability(&scores, neg.len(), pos.len()))
     }
 }
 
-/// Softmax over two continuation log-probs (average per-token log-prob to
-/// remove length bias) — P(positive). Public so the serving engine
-/// reproduces the offline score bit-for-bit from the same log-probs.
-pub fn two_way_probability(lp_neg: f64, lp_pos: f64, neg_len: usize, pos_len: usize) -> f64 {
+/// A step of [`ZiGongModel::decide`], reported to its stage hook once the
+/// step completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionStage {
+    /// The shared prompt prefill.
+    Prefill,
+    /// The greedy answer decode.
+    Decode,
+    /// Scoring both candidate answers.
+    Score,
+}
+
+/// Softmax over the two candidates' continuation log-probs `[neg, pos]`
+/// (average per-token log-prob to remove length bias) — P(positive).
+fn two_way_probability(scores: &[f32], neg_len: usize, pos_len: usize) -> f64 {
+    // INVARIANT: callers pass one score per candidate (2 here).
+    let (lp_neg, lp_pos) = (scores[0] as f64, scores[1] as f64);
     let a = lp_pos / pos_len as f64;
     let b = lp_neg / neg_len as f64;
     let m = a.max(b);
@@ -241,7 +293,7 @@ impl CreditClassifier for ZiGongModel {
     }
 
     fn answer(&mut self, item: &EvalItem) -> String {
-        self.generate_answer(&item.example.prompt, 6)
+        self.generate_answer(&item.example.prompt, ANSWER_TOKENS)
     }
 
     fn score(&mut self, item: &EvalItem) -> f64 {

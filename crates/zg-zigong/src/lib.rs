@@ -38,8 +38,8 @@ pub use corpus::{
 };
 pub use crossval::{cross_validate, kfold_split, CrossValReport};
 pub use evaluator::{
-    eval_items, evaluate_classifier, evaluate_zigong, two_way_probability, CellResult,
-    CreditClassifier, EvalItem, ZiGongModel, ZiGongSpec, ANSWER_TOKENS, SCORE_RESERVE,
+    eval_items, evaluate_classifier, evaluate_zigong, CellResult, CreditClassifier, DecisionStage,
+    EvalItem, ZiGongModel, ZiGongSpec, ANSWER_TOKENS, SCORE_RESERVE,
 };
 pub use forgetting::{run_forgetting_study, ForgettingResult, ForgettingSetup};
 pub use pruning::{
