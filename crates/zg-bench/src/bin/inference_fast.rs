@@ -1,8 +1,8 @@
 //! Inference fast-path benchmark: measures each layer of the speedup
-//! stack — the SIMD GEMM kernel, int8 quantized inference, KV
-//! prefix-reused continuation scoring, chunked prefill decoding, and
-//! parallel benchmark evaluation — against the historical
-//! implementations, and writes `results/inference_fast.json`.
+//! stack — the SIMD GEMM kernel, KV prefix-reused continuation scoring,
+//! chunked prefill decoding, and parallel benchmark evaluation — against
+//! the historical implementations, and writes
+//! `results/inference_fast.json`.
 //!
 //! Stages of the end-to-end comparison (a Table-2-style eval pass):
 //!
@@ -10,14 +10,10 @@
 //!    token-by-token prompt ingestion, serial items;
 //! 2. +auto GEMM (SIMD above the naive crossover; same scoring path);
 //! 3. +KV prefix reuse and chunked prefill (serial items);
-//! 4. +parallel item evaluation (all cores);
-//! 5. +int8 quantized frozen weights (parallel).
+//! 4. +parallel item evaluation (all cores).
 //!
-//! Exits non-zero if a perf gate fails: the SIMD kernel must clear a
-//! minimum speedup over naive (2x at 256³ full, 1.2x at 128³ quick),
-//! int8 decode must not lose to f32 SIMD decode, and the quantized
-//! Table-2-style metrics must stay within `QUANT_ACC_TOL` /
-//! `QUANT_KS_TOL` of the f32 run.
+//! Exits non-zero if the perf gate fails: the SIMD kernel must clear a
+//! minimum speedup over naive (2x at 256³ full, 1.2x at 128³ quick).
 
 use std::time::Instant;
 
@@ -27,7 +23,6 @@ use zg_bench::{quick_mode, write_result};
 use zg_model::{CausalLm, ModelConfig};
 use zg_tensor::{
     available_threads, gemm_naive, gemm_simd, set_gemm_kernel, simd_available, GemmKernel,
-    QuantizedMatrix,
 };
 use zg_tokenizer::Special;
 use zg_zigong::{
@@ -92,27 +87,17 @@ fn gemm_section(quick: bool) -> serde_json::Value {
             c.iter_mut().for_each(|v| *v = 0.0);
             gemm_simd(false, false, m, n, k, &a, &b, &mut c);
         });
-        // int8: weights quantized offline (outside the timer, like model
-        // calibration); per-row activation quantization is part of the
-        // measured per-call cost, as in the serving path.
-        let qb = QuantizedMatrix::quantize(&b, k, n);
-        let mut qc = vec![0.0f32; m * n];
-        let t_quant = time_call(|| qb.matmul_into(&a, m, &mut qc));
         println!(
-            "gemm {m}x{n}x{k}: naive {:.2} GF/s, simd {:.2} GF/s ({:.2}x), int8 {:.2} GF/s ({:.2}x)",
+            "gemm {m}x{n}x{k}: naive {:.2} GF/s, simd {:.2} GF/s ({:.2}x)",
             flops / t_naive / 1e9,
             flops / t_simd / 1e9,
             t_naive / t_simd,
-            flops / t_quant / 1e9,
-            t_naive / t_quant,
         );
         rows.push(serde_json::json!({
             "m": m, "n": n, "k": k,
             "naive_gflops": flops / t_naive / 1e9,
             "simd_gflops": flops / t_simd / 1e9,
-            "quant_gflops": flops / t_quant / 1e9,
             "simd_speedup": t_naive / t_simd,
-            "quant_speedup": t_naive / t_quant,
         }));
     }
     serde_json::Value::Array(rows)
@@ -247,26 +232,15 @@ fn decode_section(m: &ZiGongModel, quick: bool) -> serde_json::Value {
         let _ =
             m.lm.generate(&prompt, new_tokens, 0.0, Special::Eos.id(), &mut rng);
     });
-    // int8: quantize the frozen base weights in place (linear layers run
-    // the quantized path; everything else stays on the SIMD kernel).
-    let calibrated = m.set_quantized(true);
-    assert!(calibrated > 0, "bench model must be frozen for int8 decode");
-    let t_quant = time_call(|| {
-        let _ =
-            m.lm.generate(&prompt, new_tokens, 0.0, Special::Eos.id(), &mut rng);
-    });
-    m.set_quantized(false);
     set_gemm_kernel(GemmKernel::Auto);
     let total = (prompt.len() + new_tokens) as f64;
     println!(
-        "decode ({} prompt + {new_tokens} new): old {:.1} tok/s, new {:.1} tok/s ({:.2}x), f32 simd {:.1} tok/s, int8 {:.1} tok/s ({:.2}x vs simd)",
+        "decode ({} prompt + {new_tokens} new): old {:.1} tok/s, new {:.1} tok/s ({:.2}x), f32 simd {:.1} tok/s",
         prompt.len(),
         total / t_old,
         total / t_new,
         t_old / t_new,
         total / t_simd,
-        total / t_quant,
-        t_simd / t_quant,
     );
     serde_json::json!({
         "prompt_tokens": prompt.len(),
@@ -274,10 +248,7 @@ fn decode_section(m: &ZiGongModel, quick: bool) -> serde_json::Value {
         "old_tok_per_s": total / t_old,
         "new_tok_per_s": total / t_new,
         "simd_tok_per_s": total / t_simd,
-        "quant_tok_per_s": total / t_quant,
         "speedup": t_old / t_new,
-        "quant_vs_simd_speedup": t_simd / t_quant,
-        "quantized_layers": calibrated,
     })
 }
 
@@ -375,20 +346,6 @@ fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::V
         par.eval.acc,
     );
 
-    // Stage 5: int8 quantized frozen weights on the full parallel path.
-    // Unlike stages 1-4 (bit-identical by contract), quantization *is*
-    // lossy — the gate below bounds the Table-2-style metric drift.
-    let quant_layers = m.set_quantized(true);
-    let (t_quant, _) = run(&mut || evaluate_zigong(m, items, 0).eval.acc);
-    let quant = evaluate_zigong(m, items, 0);
-    m.set_quantized(false);
-    push(
-        "int8 quantized + kv prefix reuse + parallel eval",
-        t_quant,
-        t_base,
-        quant.eval.acc,
-    );
-
     let metrics_match = baseline.eval.acc == par.eval.acc
         && baseline.eval.f1 == par.eval.f1
         && baseline.eval.miss == par.eval.miss
@@ -397,37 +354,13 @@ fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::V
     if !metrics_match {
         println!("WARNING: fast-path metrics diverge from baseline");
     }
-    let quant_acc_delta = (quant.eval.acc - par.eval.acc).abs();
-    let quant_ks_delta = (quant.ks - par.ks).abs();
-    let quant_auc_delta = (quant.auc - par.auc).abs();
-    println!(
-        "quantized metric drift: |Δacc| {quant_acc_delta:.4}, |ΔKS| {quant_ks_delta:.4}, |ΔAUC| {quant_auc_delta:.4} ({quant_layers} int8 layers)"
-    );
-    let quant_obj = serde_json::json!({
-        "layers": quant_layers,
-        "acc_delta": quant_acc_delta,
-        "ks_delta": quant_ks_delta,
-        "auc_delta": quant_auc_delta,
-    });
     serde_json::json!({
         "items": items.len(),
         "workers": workers,
         "stages": stages,
         "end_to_end_speedup": t_base / t_par,
         "metrics_match": metrics_match,
-        "quant": quant_obj,
     })
-}
-
-/// Allowed Table-2-style metric drift of the int8 path vs the f32 fast
-/// path: `(acc, ks)` tolerances, laxer in quick mode where the item
-/// count is tiny and one flipped item moves accuracy by ~0.17.
-fn quant_metric_tolerance(quick: bool) -> (f64, f64) {
-    if quick {
-        (0.35, 0.5)
-    } else {
-        (0.1, 0.15)
-    }
 }
 
 fn main() {
@@ -447,12 +380,6 @@ fn main() {
         .map(|r| zg_instruct::render_classification(&ds, r))
         .collect();
     let model = bench_model(&train_examples);
-    // Freeze the base: the deployed-model shape (LoRA training freezes
-    // every base weight), and the precondition for int8 calibration.
-    // Inference cost and f32 numbers are unaffected by gradient flags.
-    for (_, p) in model.lm.params() {
-        p.set_requires_grad(false);
-    }
     let capped: Vec<_> = test
         .iter()
         .copied()
@@ -474,16 +401,11 @@ fn main() {
     let table2 = table2_eval_section(&model, &items);
     set_gemm_kernel(GemmKernel::Auto);
 
-    let (acc_tol, ks_tol) = quant_metric_tolerance(quick);
     let gate_dim: usize = if quick { 128 } else { 256 };
     let simd_min_speedup: f64 = if quick { 1.2 } else { 2.0 };
-    let quant_decode_min_ratio: f64 = if quick { 0.8 } else { 1.0 };
     let gates_obj = serde_json::json!({
         "simd_gate_shape": gate_dim,
         "simd_min_speedup": simd_min_speedup,
-        "quant_decode_min_vs_simd": quant_decode_min_ratio,
-        "quant_acc_tol": acc_tol,
-        "quant_ks_tol": ks_tol,
     });
     let out = serde_json::to_string_pretty(&serde_json::json!({
         "host_threads": available_threads(),
@@ -497,8 +419,7 @@ fn main() {
     .expect("benchmark serializes");
     write_result("inference_fast.json", &out);
 
-    // ---- Perf + accuracy gates (mirrors serve_load: exit non-zero). ----
-    let mut failed = false;
+    // ---- Perf gate (mirrors serve_load: exit non-zero). ----
     if simd_available() {
         let row = gemm
             .as_array()
@@ -513,36 +434,10 @@ fn main() {
             println!(
                 "FAIL: simd gemm at {gate_dim}^3 is {simd_speedup:.2}x naive (need >= {simd_min_speedup:.1}x)"
             );
-            failed = true;
+            std::process::exit(1);
         }
-        let quant_tok = table_f64(&decode, "quant_tok_per_s");
-        let simd_tok = table_f64(&decode, "simd_tok_per_s");
-        if quant_tok < simd_tok * quant_decode_min_ratio {
-            println!(
-                "FAIL: int8 decode {quant_tok:.1} tok/s does not clear f32 simd {simd_tok:.1} tok/s (need >= {quant_decode_min_ratio:.1}x)"
-            );
-            failed = true;
-        }
+        println!("inference_fast gate passed: simd speedup");
     } else {
-        println!("NOTE: no AVX2 on this host; SIMD/int8 perf gates skipped (portable fallback)");
+        println!("NOTE: no AVX2 on this host; SIMD perf gate skipped (portable fallback)");
     }
-    let acc_delta = table_f64(&table2["quant"], "acc_delta");
-    let ks_delta = table_f64(&table2["quant"], "ks_delta");
-    if acc_delta > acc_tol || ks_delta > ks_tol {
-        println!(
-            "FAIL: quantized metric drift |Δacc| {acc_delta:.4} (tol {acc_tol}) / |ΔKS| {ks_delta:.4} (tol {ks_tol})"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("inference_fast gates passed: simd speedup, int8 decode, quantized metric drift");
-}
-
-/// Pull a required f64 field out of a benchmark JSON section.
-fn table_f64(section: &serde_json::Value, key: &str) -> f64 {
-    section[key]
-        .as_f64()
-        .unwrap_or_else(|| panic!("benchmark section missing {key}"))
 }

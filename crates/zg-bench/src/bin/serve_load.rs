@@ -111,7 +111,6 @@ fn run_load(
         EngineConfig {
             workers,
             pool_budget_tokens,
-            ..EngineConfig::default()
         },
     );
     let max_batch = 2 * workers.max(1);
@@ -229,7 +228,6 @@ fn timed_closed_loop(
         EngineConfig {
             workers,
             pool_budget_tokens: 1 << 16,
-            ..EngineConfig::default()
         },
     );
     let max_batch = 2 * workers.max(1);
@@ -373,10 +371,9 @@ fn main() {
     let baseline_slack = 1.10;
     let min_hit_token_rate = 0.5;
     // Generous budget for the main run (holds the whole combo working
-    // set), one token for the no-reuse baseline, and a squeeze far below
-    // one template's prompts for the eviction-pressure run.
+    // set) and one token for the no-reuse baseline; the eviction-pressure
+    // budget is sized from the main run below.
     let main_budget = 1 << 16;
-    let pressure_budget = 768;
 
     println!("== serve_load: continuous-batching server benchmark ==");
     println!(
@@ -466,6 +463,10 @@ fn main() {
     );
 
     // ---- Eviction pressure: budget far below the working set ----
+    // Each replica has its own pool and sees about 1/workers of the
+    // traffic, so half of a replica's share of the main run's resident
+    // tokens squeezes every pool whatever the core count.
+    let pressure_budget = main_run.prefix.resident_tokens / (2 * workers);
     let pressure = run_load(&model, &combos, workers, pressure_budget, n_requests, rate);
     println!(
         "pressure (budget {pressure_budget}): p99 {:.1} ms, {} evictions, resident {} tokens, audit clean: {}",
@@ -488,7 +489,6 @@ fn main() {
             EngineConfig {
                 workers: 1,
                 pool_budget_tokens: main_budget,
-                ..EngineConfig::default()
             },
         );
         let cfg = ServeConfig {

@@ -141,29 +141,6 @@ pub fn merge(lm: &mut CausalLm) {
     }
 }
 
-/// Quantize the frozen base weights of a LoRA model to int8: every dense
-/// projection whose weight is frozen (`requires_grad == false`) gets a
-/// per-output-channel absmax calibration, while the f32 adapter deltas
-/// stay exact. Returns the number of calibrated projections.
-///
-/// Panics when any projection base weight is still trainable — quantizing
-/// weights the optimizer is about to move would silently serve stale
-/// calibrations; call [`attach`] (which freezes the base) first.
-pub fn quantize_frozen_base(lm: &CausalLm) -> usize {
-    for linear in lm.linears() {
-        assert!(
-            !linear.weight.requires_grad(),
-            "quantize_frozen_base: base weight still trainable; attach adapters (freezing the base) first"
-        );
-    }
-    lm.set_quantized(true)
-}
-
-/// Drop every int8 calibration, returning the model to pure-f32 inference.
-pub fn dequantize_base(lm: &CausalLm) {
-    lm.set_quantized(false);
-}
-
 /// The adapter parameters of `lm` (name, tensor) — the LoRA subspace.
 pub fn lora_params(lm: &CausalLm) -> Vec<(String, Tensor)> {
     lm.params()
@@ -316,50 +293,6 @@ mod tests {
         let names: Vec<String> = lora_params(&lm).into_iter().map(|(n, _)| n).collect();
         assert!(names.iter().all(|n| n.contains(".wo.")), "{names:?}");
         assert_eq!(names.len(), 4); // 2 layers × (A, B)
-    }
-
-    #[test]
-    fn quantize_frozen_base_close_to_f32_with_exact_adapters() {
-        let mut lm = tiny_lm(15);
-        let mut rng = StdRng::seed_from_u64(16);
-        attach(&mut lm, &LoraConfig::default(), &mut rng);
-        // Nonzero B so the adapter contributes through the quantized path.
-        for (name, p) in lora_params(&lm) {
-            if name.ends_with("lora_b") {
-                let d: Vec<f32> = (0..p.numel()).map(|i| 0.02 * (i % 5) as f32).collect();
-                p.set_data(&d);
-            }
-        }
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_score = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-        zg_tensor::set_quantized_inference(prev);
-        let calibrated = quantize_frozen_base(&lm);
-        // 2 layers × (q,k,v,o + gate,up,down) + lm_head = 15.
-        assert_eq!(calibrated, 15);
-        let q_score = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-        assert!(
-            (q_score - f32_score).abs() < 0.35,
-            "quantized log-prob drifted: {q_score} vs {f32_score}"
-        );
-        dequantize_base(&lm);
-        assert!(!lm.is_quantized());
-        // Under ZG_QUANT=1 the next no_grad forward would lazily
-        // re-calibrate by design, so the restores-f32 check only holds
-        // without the env override.
-        if !zg_tensor::quant_env_enabled() {
-            let back = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-            let prev = zg_tensor::set_quantized_inference(false);
-            let f32_again = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-            zg_tensor::set_quantized_inference(prev);
-            assert_eq!(back, f32_again, "dequantize must restore the f32 path");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "base weight still trainable")]
-    fn quantize_unfrozen_base_panics() {
-        let lm = tiny_lm(17);
-        quantize_frozen_base(&lm);
     }
 
     #[test]

@@ -12,7 +12,4 @@
 
 mod adapter;
 
-pub use adapter::{
-    attach, dequantize_base, detach, lora_param_count, lora_params, merge, quantize_frozen_base,
-    LoraConfig, TargetModule,
-};
+pub use adapter::{attach, detach, lora_param_count, lora_params, merge, LoraConfig, TargetModule};

@@ -1,10 +1,8 @@
 //! Basic building blocks: linear projection (with optional LoRA adapter
 //! slot), token embedding, and RMSNorm.
 
-use std::cell::RefCell;
-
 use rand::Rng;
-use zg_tensor::{grad_enabled, no_grad, quant_env_enabled, quantized_inference, Tensor};
+use zg_tensor::Tensor;
 
 /// A LoRA adapter attached to a [`Linear`]: `y += scale · (x·A)·B`.
 ///
@@ -20,31 +18,6 @@ pub struct Adapter {
     pub scale: f32,
 }
 
-/// An int8 calibration of a [`Linear`] base weight: per-output-channel
-/// absmax scales over the frozen `(in, out)` matrix, pinned to the
-/// [`Tensor::data_version`] it was computed from so weight mutation
-/// (merges, optimizer steps after unfreezing) invalidates it.
-pub struct QuantizedLinear {
-    /// Packed int8 weight with per-column scales.
-    pub qweight: zg_tensor::QuantizedMatrix,
-    /// `weight.data_version()` at calibration time.
-    pub weight_version: u64,
-}
-
-impl QuantizedLinear {
-    /// Calibrate `weight` (shape `(in, out)`) with per-output-channel
-    /// absmax quantization.
-    pub fn calibrate(weight: &Tensor) -> Self {
-        let dims = weight.dims();
-        assert_eq!(dims.len(), 2, "quantized weight must be 2-D");
-        let q = zg_tensor::QuantizedMatrix::quantize(&weight.data(), dims[0], dims[1]);
-        QuantizedLinear {
-            qweight: q,
-            weight_version: weight.data_version(),
-        }
-    }
-}
-
 /// Dense linear layer `y = x·W + b`, weight shape `(in, out)`.
 pub struct Linear {
     /// Weight matrix `(in_features, out_features)`.
@@ -53,8 +26,6 @@ pub struct Linear {
     pub bias: Option<Tensor>,
     /// Optional LoRA adapter applied additively.
     pub adapter: Option<Adapter>,
-    /// int8 calibration of the frozen base weight, when enabled.
-    quant: RefCell<Option<QuantizedLinear>>,
 }
 
 impl Linear {
@@ -66,7 +37,6 @@ impl Linear {
             weight,
             bias: None,
             adapter: None,
-            quant: RefCell::new(None),
         }
     }
 
@@ -88,13 +58,8 @@ impl Linear {
     }
 
     /// Apply the layer: `x (…, in) -> (…, out)`, plus the adapter path when
-    /// one is attached. Inside `no_grad` scopes with an int8 calibration
-    /// present (or auto-calibrated under `ZG_QUANT=1`), dispatches to
-    /// [`Linear::forward_quantized`].
+    /// one is attached.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        if let Some(y) = self.try_forward_quantized(x) {
-            return y;
-        }
         let mut y = x.matmul(&self.weight);
         if let Some(ad) = &self.adapter {
             let delta = x.matmul(&ad.a).matmul(&ad.b).mul_scalar(ad.scale);
@@ -104,77 +69,6 @@ impl Linear {
             Some(b) => y.add(b),
             None => y,
         }
-    }
-
-    /// Calibrate (`on = true`) or drop (`on = false`) the int8 copy of the
-    /// base weight. Calibration only applies to *frozen* bases
-    /// (`!weight.requires_grad()`) — trainable weights keep the exact f32
-    /// path; returns whether a calibration is now present.
-    pub fn set_quantized(&self, on: bool) -> bool {
-        if !on || self.weight.requires_grad() {
-            *self.quant.borrow_mut() = None;
-            return false;
-        }
-        *self.quant.borrow_mut() = Some(QuantizedLinear::calibrate(&self.weight));
-        true
-    }
-
-    /// Whether an int8 calibration is currently attached.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.borrow().is_some()
-    }
-
-    /// The quantized dispatch gate: engages only under `no_grad`, with the
-    /// thread knob on, and with a fresh calibration (recalibrating when the
-    /// weight mutated since; lazily calibrating frozen weights under
-    /// `ZG_QUANT=1`).
-    fn try_forward_quantized(&self, x: &Tensor) -> Option<Tensor> {
-        if grad_enabled() || !quantized_inference() {
-            return None;
-        }
-        let stale = match self.quant.borrow().as_ref() {
-            Some(q) => q.weight_version != self.weight.data_version(),
-            None => {
-                if !quant_env_enabled() || self.weight.requires_grad() {
-                    return None;
-                }
-                true
-            }
-        };
-        if stale && !self.set_quantized(true) {
-            return None;
-        }
-        Some(self.forward_quantized(x))
-    }
-
-    /// int8 base GEMM + exact f32 LoRA delta + bias. Inference-only:
-    /// always runs under `no_grad` and never records tape nodes.
-    pub fn forward_quantized(&self, x: &Tensor) -> Tensor {
-        no_grad(|| {
-            let quant = self.quant.borrow();
-            // INVARIANT: callers reach this through try_forward_quantized
-            // (which calibrates) or after set_quantized(true) succeeded.
-            let quant = quant.as_ref().expect("quantized calibration present");
-            let dims = x.dims();
-            // INVARIANT: tensors always have at least one axis.
-            let k = *dims.last().expect("linear input must have a feature axis");
-            assert_eq!(k, quant.qweight.k(), "feature dim mismatch");
-            let m = x.numel() / k;
-            let n = quant.qweight.n();
-            let mut out = vec![0.0f32; m * n];
-            quant.qweight.matmul_into(&x.data(), m, &mut out);
-            let mut out_dims = dims[..dims.len() - 1].to_vec();
-            out_dims.push(n);
-            let mut y = Tensor::from_vec(out, out_dims);
-            if let Some(ad) = &self.adapter {
-                let delta = x.matmul(&ad.a).matmul(&ad.b).mul_scalar(ad.scale);
-                y = y.add(&delta);
-            }
-            match &self.bias {
-                Some(b) => y.add(b),
-                None => y,
-            }
-        })
     }
 
     /// Named parameters (prefixed), including adapter parameters when present.
@@ -279,79 +173,6 @@ mod tests {
         assert!((with[0] - base[0] - 10.0).abs() < 1e-5);
         assert!((with[1] - base[1]).abs() < 1e-5);
         assert_eq!(l.params("l").len(), 3); // weight + lora_a + lora_b
-    }
-
-    #[test]
-    fn quantized_linear_close_to_f32_and_adapter_exact() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut l = Linear::with_bias(16, 24, &mut rng);
-        let a = Tensor::from_vec(vec![0.1; 16], [16, 1]);
-        let b = Tensor::from_vec(vec![0.2; 24], [1, 24]);
-        l.adapter = Some(Adapter { a, b, scale: 0.5 });
-        l.weight.set_requires_grad(false); // frozen base
-        let x = Tensor::randn([3, 16], 0.0, 1.0, &mut rng);
-        // Pin the knob off for the f32 baseline so the test also holds
-        // under a ZG_QUANT=1 environment (lazy auto-calibration).
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        zg_tensor::set_quantized_inference(prev);
-        assert!(l.set_quantized(true));
-        assert!(l.is_quantized());
-        let q_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        let denom = f32_out.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
-        for (qv, fv) in q_out.iter().zip(&f32_out) {
-            let rel = (qv - fv).abs() / denom;
-            assert!(rel < 0.05, "quantized output drifted: {qv} vs {fv}");
-        }
-        // Outside no_grad the exact f32 path still runs (bit-identical).
-        let grad_out = l.forward(&x).to_vec();
-        assert_eq!(grad_out, f32_out, "grad-mode forward must stay exact f32");
-    }
-
-    #[test]
-    fn quantized_linear_respects_knob_and_freeze() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let l = Linear::new(8, 8, &mut rng);
-        // Trainable weight: calibration refused.
-        assert!(!l.set_quantized(true));
-        assert!(!l.is_quantized());
-        l.weight.set_requires_grad(false);
-        assert!(l.set_quantized(true));
-        let x = Tensor::ones([2, 8]);
-        let q_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        // Knob off: exact f32 even with a calibration attached.
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        zg_tensor::set_quantized_inference(prev);
-        let exact = zg_tensor::no_grad(|| {
-            let mut y = x.matmul(&l.weight);
-            if let Some(b) = &l.bias {
-                y = y.add(b);
-            }
-            y.to_vec()
-        });
-        assert_eq!(f32_out, exact);
-        assert_ne!(q_out, exact, "int8 path should actually differ slightly");
-    }
-
-    #[test]
-    fn quantized_linear_recalibrates_after_weight_mutation() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let l = Linear::new(6, 6, &mut rng);
-        l.weight.set_requires_grad(false);
-        assert!(l.set_quantized(true));
-        let x = Tensor::ones([1, 6]);
-        let before = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        // Mutate the weight: the stale calibration must not be used.
-        let doubled: Vec<f32> = l.weight.data().iter().map(|v| v * 2.0).collect();
-        l.weight.set_data(&doubled);
-        let after = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        for (a, b) in after.iter().zip(&before) {
-            assert!(
-                (a - 2.0 * b).abs() < 2e-2 * b.abs().max(1.0),
-                "recalibration missed: {a} vs 2·{b}"
-            );
-        }
     }
 
     #[test]

@@ -284,35 +284,6 @@ impl CausalLm {
         })
     }
 
-    /// Every dense projection in the model: q/k/v/o per block, the three
-    /// MLP projections per block, and the LM head. (The embedding is a
-    /// gather, not a GEMM, so it stays f32.)
-    pub fn linears(&self) -> Vec<&Linear> {
-        let mut out = Vec::new();
-        for b in &self.blocks {
-            out.extend(b.attn.projections());
-            out.extend(b.mlp.projections());
-        }
-        out.push(&self.lm_head);
-        out
-    }
-
-    /// Calibrate (`on = true`) or drop (`on = false`) int8 copies of every
-    /// frozen dense projection weight. Only weights with
-    /// `requires_grad == false` are calibrated (the frozen LoRA base);
-    /// returns how many layers now hold a calibration.
-    pub fn set_quantized(&self, on: bool) -> usize {
-        self.linears()
-            .into_iter()
-            .filter(|l| l.set_quantized(on))
-            .count()
-    }
-
-    /// Whether any projection currently holds an int8 calibration.
-    pub fn is_quantized(&self) -> bool {
-        self.linears().into_iter().any(|l| l.is_quantized())
-    }
-
     /// All named parameters, including any attached LoRA adapters.
     pub fn params(&self) -> Vec<(String, Tensor)> {
         let mut out = Vec::new();
@@ -500,44 +471,6 @@ mod tests {
             .map(|tok| lm.score_continuation(&[1, 2], &[tok]).exp())
             .sum();
         assert!((total - 1.0).abs() < 1e-3, "total prob {total}");
-    }
-
-    #[test]
-    fn quantized_model_scores_close_to_f32() {
-        let lm = tiny_lm();
-        for (_, p) in lm.params() {
-            p.set_requires_grad(false);
-        }
-        // Pin the knob off for the f32 baseline (robust under ZG_QUANT=1).
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_score = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-        zg_tensor::set_quantized_inference(prev);
-        let calibrated = lm.set_quantized(true);
-        // q/k/v/o + gate/up/down per block + lm_head; tiny_lm has 1 block.
-        assert_eq!(calibrated, 8);
-        let q_score = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-        assert!(
-            (q_score - f32_score).abs() < 0.35,
-            "quantized log-prob drifted: {q_score} vs {f32_score}"
-        );
-        // Chunked prefill == per-token stepping on the quantized path too
-        // (per-row activation quantization keeps rows independent).
-        let seq = [1u32, 5, 9, 2];
-        let mut c1 = lm.new_cache();
-        let whole = lm.prefill(&seq, &mut c1);
-        let mut c2 = lm.new_cache();
-        let mut stepped = Vec::new();
-        for &t in &seq {
-            stepped = lm.step(t, &mut c2);
-        }
-        for (a, b) in whole.iter().zip(&stepped) {
-            assert!(
-                (a - b).abs() < 1e-3,
-                "quantized prefill diverged from stepping: {a} vs {b}"
-            );
-        }
-        lm.set_quantized(false);
-        assert!(!lm.is_quantized());
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl SwiGluMlp {
         out.extend(self.down.params(&format!("{prefix}.down")));
         out
     }
-
-    /// The three projections as `[gate, up, down]` (quantization walks).
-    pub fn projections(&self) -> [&Linear; 3] {
-        [&self.gate, &self.up, &self.down]
-    }
 }
 
 #[cfg(test)]

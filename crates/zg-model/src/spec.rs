@@ -35,10 +35,6 @@ pub struct LmSpec {
     /// Per block, per q/k/v/o projection: `(rank, scale)` of an attached
     /// adapter.
     adapters: Vec<[Option<(usize, f32)>; 4]>,
-    /// Whether the snapshotted model held int8 calibrations; replicas
-    /// re-calibrate after restoring weights (calibration is a pure
-    /// function of the weights, so replicas stay bit-identical).
-    quantized: bool,
 }
 
 impl LmSpec {
@@ -70,7 +66,6 @@ impl LmSpec {
             cfg: lm.cfg.clone(),
             weights,
             adapters,
-            quantized: lm.is_quantized(),
         }
     }
 
@@ -134,9 +129,6 @@ impl LmSpec {
                 .unwrap_or_else(|| panic!("spec missing parameter {name}"));
             p.set_data(data);
             p.set_requires_grad(*rg);
-        }
-        if self.quantized {
-            lm.set_quantized(true);
         }
         lm
     }
@@ -205,25 +197,6 @@ mod tests {
         let ad = q.adapter.as_ref().expect("adapter slot recreated");
         assert_eq!(ad.scale, 0.5);
         assert!(ad.b.data().iter().all(|&v| v == 0.25));
-    }
-
-    #[test]
-    fn quantized_replica_is_bit_identical() {
-        let lm = tiny_lm();
-        for (_, p) in lm.params() {
-            p.set_requires_grad(false);
-        }
-        assert!(lm.set_quantized(true) > 0, "frozen model must calibrate");
-        let spec = LmSpec::snapshot(&lm);
-        let replica = spec.build();
-        assert!(replica.is_quantized(), "replica must re-calibrate");
-        // Calibration is a pure function of the weights, so the quantized
-        // decode path must agree bitwise between original and replica.
-        let mut c0 = lm.new_cache();
-        let mut c1 = replica.new_cache();
-        let a = lm.prefill(&[1, 9, 4, 2], &mut c0);
-        let b = replica.prefill(&[1, 9, 4, 2], &mut c1);
-        assert_eq!(a, b, "quantized replica logits must match bitwise");
     }
 
     #[test]

@@ -87,11 +87,6 @@ pub struct EngineConfig {
     /// prefixes are evicted LRU-first once their summed token length
     /// exceeds this (leased entries are never evicted).
     pub pool_budget_tokens: usize,
-    /// Serve with int8 quantized inference on frozen base weights. Each
-    /// replica calibrates after rebuilding from the spec; calibration is
-    /// a pure function of the weights, so replicas stay bit-identical to
-    /// each other and to a quantized offline evaluator.
-    pub quantized: bool,
 }
 
 impl Default for EngineConfig {
@@ -99,7 +94,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             pool_budget_tokens: 4096,
-            quantized: false,
         }
     }
 }
@@ -123,12 +117,8 @@ struct Replica {
 
 impl Replica {
     fn new(spec: &ZiGongSpec, cfg: &EngineConfig) -> Replica {
-        let model = spec.build();
-        if cfg.quantized {
-            model.set_quantized(true);
-        }
         Replica {
-            model,
+            model: spec.build(),
             pool: PrefixPool::new(cfg.pool_budget_tokens),
             stage_clock: None,
             marks: Vec::new(),

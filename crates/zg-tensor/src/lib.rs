@@ -9,7 +9,9 @@
 //! Highlights:
 //! - NumPy-style broadcasting for binary ops, with gradient reduction over
 //!   broadcast axes.
-//! - Batched matmul with broadcastable batch dimensions.
+//! - Batched matmul with broadcastable batch dimensions, over one f32
+//!   GEMM family: the naive oracle and a bit-identical SIMD fast path
+//!   ([`gemm`], [`GemmKernel`]).
 //! - Fused softmax / log-softmax / cross-entropy kernels.
 //! - [`Tensor::custom`] — define new differentiable ops downstream.
 //! - [`no_grad`] scopes for tape-free inference.
@@ -38,7 +40,6 @@ mod ops_shape;
 mod ops_stats;
 mod ops_unary;
 mod pool;
-mod quant;
 mod shape;
 mod simd;
 mod store;
@@ -56,7 +57,6 @@ pub use pool::{
     clear_pool, live_pooled_buffers, pool_stats, pool_stats_scope, reset_pool_stats,
     set_pool_enabled, PoolStats, PoolStatsScope, PooledBuf,
 };
-pub use quant::{quant_env_enabled, quantized_inference, set_quantized_inference, QuantizedMatrix};
 pub use shape::{Shape, StridedIter};
 pub use simd::{gemm_simd, gemm_simd_with_threads, simd_available};
 pub use store::TensorStore;

@@ -1,14 +1,15 @@
 //! Batched matrix multiplication with broadcastable leading (batch)
 //! dimensions, plus the row-major GEMM dispatch used throughout.
 //!
-//! Two f32 kernels serve [`gemm`] (plus the int8 path in [`crate::quant`]):
+//! Inference and training share one numerics: exact f32. Two kernels
+//! serve [`gemm`]:
 //!
 //! * [`gemm_naive`] — the original scalar triple loops, kept as the
-//!   bit-exact reference and as the small-matrix fallback.
-//! * [`crate::gemm_simd`] — the cache-blocked kernel in [`crate::simd`]:
-//!   an AVX2 microkernel behind a runtime CPUID check, with a portable
-//!   microkernel on other hosts, and a row-partitioned multi-threaded
-//!   dispatch for large products.
+//!   bit-exact reference (the oracle) and as the small-matrix fallback.
+//! * [`crate::gemm_simd`] — the fast path, the cache-blocked kernel in
+//!   [`crate::simd`]: an AVX2 microkernel behind a runtime CPUID check,
+//!   with a portable microkernel on other hosts, and a row-partitioned
+//!   multi-threaded dispatch for large products.
 //!
 //! The SIMD kernel loads the destination tile into its accumulators
 //! before the k-loop and adds products in ascending-k order, which is
@@ -18,6 +19,12 @@
 //! **bit-identical** to the naive kernel, and the threaded dispatch is
 //! bit-identical to serial because each thread computes a disjoint set
 //! of output rows with the same kernel.
+//!
+//! Every GEMM is counted on the calling thread's trace stream
+//! (`gemm.dispatch.{naive,simd,simd_threaded}` plus a `gemm.mnk`
+//! sample), including the per-batch GEMMs that
+//! [`Tensor::matmul`] farms out to worker threads, so the counts do not
+//! depend on the core count.
 
 use std::cell::Cell;
 
@@ -91,34 +98,10 @@ const THREADED_MIN_FLOPS: usize = 128 * 128 * 128;
 /// than it saves.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(ta: bool, tb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let flops = m * n * k;
     // Resolve the dispatch first so tracing sees the actual kernel used,
     // not just the thread-local selection.
-    enum Dispatch {
-        Naive,
-        Simd,
-        SimdThreaded(usize),
-    }
-    let dispatch = match gemm_kernel() {
-        GemmKernel::Naive => Dispatch::Naive,
-        _ if flops < SIMD_MIN_FLOPS || m < MR / 2 || n < NR / 2 => Dispatch::Naive,
-        GemmKernel::Simd => Dispatch::Simd,
-        GemmKernel::Auto if flops >= THREADED_MIN_FLOPS && available_threads() > 1 => {
-            Dispatch::SimdThreaded(available_threads())
-        }
-        GemmKernel::Auto => Dispatch::Simd,
-    };
-    if zg_trace::enabled() {
-        zg_trace::counter_add(
-            match dispatch {
-                Dispatch::Naive => "gemm.dispatch.naive",
-                Dispatch::Simd => "gemm.dispatch.simd",
-                Dispatch::SimdThreaded(_) => "gemm.dispatch.simd_threaded",
-            },
-            1.0,
-        );
-        zg_trace::hist_record("gemm.mnk", flops as f64);
-    }
+    let dispatch = Dispatch::resolve(gemm_kernel(), m, n, k);
+    dispatch.record(m * n * k, 1);
     match dispatch {
         Dispatch::Naive => gemm_naive(ta, tb, m, n, k, a, b, c),
         Dispatch::Simd => crate::simd::gemm_simd(ta, tb, m, n, k, a, b, c),
@@ -128,12 +111,41 @@ pub fn gemm(ta: bool, tb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f3
     }
 }
 
-/// Trace hook for the int8 quantized path (mirrors the f32 dispatch
-/// counters; called by [`crate::QuantizedMatrix::matmul_into`]).
-pub(crate) fn count_quant_dispatch(m: usize, n: usize, k: usize) {
-    if zg_trace::enabled() {
-        zg_trace::counter_add("gemm.dispatch.quant", 1.0);
-        zg_trace::hist_record("gemm.mnk", (m * n * k) as f64);
+/// The kernel one [`gemm`] call actually runs.
+enum Dispatch {
+    Naive,
+    Simd,
+    SimdThreaded(usize),
+}
+
+impl Dispatch {
+    fn resolve(kernel: GemmKernel, m: usize, n: usize, k: usize) -> Dispatch {
+        let flops = m * n * k;
+        match kernel {
+            GemmKernel::Naive => Dispatch::Naive,
+            _ if flops < SIMD_MIN_FLOPS || m < MR / 2 || n < NR / 2 => Dispatch::Naive,
+            GemmKernel::Simd => Dispatch::Simd,
+            GemmKernel::Auto if flops >= THREADED_MIN_FLOPS && available_threads() > 1 => {
+                Dispatch::SimdThreaded(available_threads())
+            }
+            GemmKernel::Auto => Dispatch::Simd,
+        }
+    }
+
+    /// Count `calls` GEMMs of `flops` each on this thread's trace stream.
+    fn record(&self, flops: usize, calls: usize) {
+        if !zg_trace::enabled() {
+            return;
+        }
+        let name = match self {
+            Dispatch::Naive => "gemm.dispatch.naive",
+            Dispatch::Simd => "gemm.dispatch.simd",
+            Dispatch::SimdThreaded(_) => "gemm.dispatch.simd_threaded",
+        };
+        zg_trace::counter_add(name, calls as f64);
+        for _ in 0..calls {
+            zg_trace::hist_record("gemm.mnk", flops as f64);
+        }
     }
 }
 
@@ -308,6 +320,9 @@ fn batched_matmul_forward(
         }
         return;
     }
+    // Fresh worker threads carry no trace stream, so the GEMMs they run
+    // are counted here, on the caller's.
+    Dispatch::resolve(GemmKernel::Simd, m, n, k).record(m * n * k, nbatch);
     let chunk_batches = nbatch.div_ceil(threads.min(nbatch));
     std::thread::scope(|s| {
         let mut rest = out;
@@ -528,6 +543,36 @@ mod tests {
         let (ga_simd, gb_simd) = run(GemmKernel::Simd);
         assert_eq!(ga_naive, ga_simd, "dA must be bit-identical simd vs naive");
         assert_eq!(gb_naive, gb_simd, "dB must be bit-identical simd vs naive");
+    }
+
+    #[test]
+    fn batched_matmul_worker_gemms_reach_the_trace() {
+        // A batched product large enough for the batch-threaded branch on
+        // any multi-core host: every per-batch GEMM must be counted on the
+        // caller's stream, once, whichever thread ran it. Auto is pinned so
+        // a forced ZG_GEMM_KERNEL default still takes that branch.
+        let (batch, m, n, k) = (8, 64, 64, 64);
+        assert!(batch * m * n * k >= THREADED_MIN_FLOPS);
+        let a = Tensor::from_vec(mat(21, batch * m * k), [batch, m, k]);
+        let b = Tensor::from_vec(mat(22, batch * k * n), [batch, k, n]);
+        let prev = set_gemm_kernel(GemmKernel::Auto);
+        let tracer = zg_trace::Tracer::new();
+        {
+            let _stream = tracer.install("caller");
+            a.matmul(&b);
+        }
+        set_gemm_kernel(prev);
+        let trace = tracer.finish();
+        let dispatched: f64 = trace
+            .counters()
+            .iter()
+            .filter(|(name, _)| name.starts_with("gemm.dispatch."))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(dispatched, batch as f64, "{:?}", trace.counters());
+        let mnk = &trace.hists()["gemm.mnk"];
+        assert_eq!(mnk.n, batch as u64);
+        assert_eq!(mnk.sum, (batch * m * n * k) as f64);
     }
 
     #[test]

@@ -58,9 +58,6 @@ pub(crate) struct Inner {
     /// `parents`/`backward` cannot be consulted instead because the
     /// iterative teardown below empties them before `drop` runs.
     pub(crate) tracked: bool,
-    /// Bumped on every mutable data access; lets derived caches (e.g.
-    /// int8 weight calibrations) detect stale snapshots cheaply.
-    pub(crate) version: Cell<u64>,
 }
 
 /// An f32 tensor with optional autograd tracking. Cloning is cheap (`Rc`).
@@ -139,7 +136,6 @@ impl Tensor {
             parents: Vec::new(),
             backward: None,
             tracked: false,
-            version: Cell::new(0),
         }))
     }
 
@@ -203,7 +199,6 @@ impl Tensor {
             parents: if track { parents } else { Vec::new() },
             backward: if track { Some(backward) } else { None },
             tracked: track,
-            version: Cell::new(0),
         }))
     }
 
@@ -244,16 +239,7 @@ impl Tensor {
     /// Mutably borrow the underlying data. Only sensible for leaves
     /// (optimizer updates); mutating op outputs invalidates saved state.
     pub fn data_mut(&self) -> RefMut<'_, Vec<f32>> {
-        self.0.version.set(self.0.version.get() + 1);
         self.0.data.borrow_mut()
-    }
-
-    /// Monotonic data-mutation counter: bumped by [`Tensor::data_mut`]
-    /// and [`Tensor::set_data`]. Caches derived from the data (int8
-    /// weight calibrations) store the version they saw and recompute on
-    /// mismatch.
-    pub fn data_version(&self) -> u64 {
-        self.0.version.get()
     }
 
     /// Copy data out as a `Vec`.
@@ -363,7 +349,6 @@ impl Tensor {
 
     /// Overwrite this leaf's data in place (e.g. optimizer step).
     pub fn set_data(&self, data: &[f32]) {
-        self.0.version.set(self.0.version.get() + 1);
         let mut d = self.0.data.borrow_mut();
         assert_eq!(d.len(), data.len());
         d.copy_from_slice(data);

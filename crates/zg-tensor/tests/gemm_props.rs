@@ -1,7 +1,6 @@
 //! Property tests pinning the SIMD GEMM kernel to the naive reference
 //! over random shapes — including odd, non-tile- and non-lane-multiple
-//! `m, n, k` — and all four transpose variants, plus the int8 quantized
-//! kernel against its scalar reference.
+//! `m, n, k` — and all four transpose variants.
 //!
 //! Contract under test:
 //!
@@ -12,16 +11,14 @@
 //!   because the SIMD kernel seeds its accumulator tiles from `c` and
 //!   adds products in the same ascending-`k` order;
 //! * the row-threaded dispatch is bit-identical to serial for every
-//!   worker count (each worker owns a disjoint MR-aligned row range);
-//! * the int8 AVX2 path is bit-identical to the scalar int8 reference
-//!   (integer accumulation is exact; the dequant expression is shared).
+//!   worker count (each worker owns a disjoint MR-aligned row range).
 //!
 //! That the SIMD kernel's AVX2 and portable full-tile paths agree bit for
 //! bit is pinned by the unit tests in `src/simd.rs`, which can pick the
 //! path.
 
 use proptest::prelude::*;
-use zg_tensor::{gemm_naive, gemm_simd, gemm_simd_with_threads, QuantizedMatrix};
+use zg_tensor::{gemm_naive, gemm_simd, gemm_simd_with_threads};
 
 /// Max |x-y| scaled by magnitude over a result pair.
 fn max_rel_err(x: &[f32], y: &[f32]) -> f32 {
@@ -120,28 +117,5 @@ proptest! {
         gemm_simd_with_threads(ta, tb, m, n, k, &a, &b, &mut serial, 1);
         gemm_simd_with_threads(ta, tb, m, n, k, &a, &b, &mut par, threads);
         prop_assert_eq!(&serial, &par);
-    }
-
-    #[test]
-    fn quant_simd_matches_scalar_reference_bitwise(
-        m in 1..9usize,
-        n in 1..40usize,
-        k in 1..80usize,
-        seed in 0u64..1000,
-    ) {
-        // Odd k exercises the zero-padded last pair; n % 16 != 0 the
-        // ragged panel edge; m > 1 the per-row activation quantization.
-        let w: Vec<f32> = (0..k * n)
-            .map(|i| ((i as f32 + seed as f32) * 0.73).sin())
-            .collect();
-        let x: Vec<f32> = (0..m * k)
-            .map(|i| ((i as f32 * 1.31) + seed as f32).cos())
-            .collect();
-        let q = QuantizedMatrix::quantize(&w, k, n);
-        let mut fast = vec![0.0f32; m * n];
-        let mut reference = vec![0.0f32; m * n];
-        q.matmul_into(&x, m, &mut fast);
-        q.matmul_reference(&x, m, &mut reference);
-        prop_assert_eq!(&fast, &reference);
     }
 }

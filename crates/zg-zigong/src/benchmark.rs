@@ -41,12 +41,6 @@ pub struct Table2Options {
     /// available cores, `1` = serial). Any value yields bit-identical
     /// metrics; see [`evaluate_zigong`].
     pub eval_workers: usize,
-    /// Evaluate the measured LM rows with int8 quantized inference on
-    /// frozen base weights (the LoRA-frozen ZiGong / SFT models; a model
-    /// with no frozen weights stays in exact f32). Metrics remain
-    /// bit-identical across `eval_workers` settings — replicas
-    /// re-calibrate from the same weights.
-    pub quantized: bool,
     /// ZiGong configuration.
     pub config: ZiGongConfig,
 }
@@ -60,7 +54,6 @@ impl Default for Table2Options {
             include_replay: true,
             aux_task_cap: 0,
             eval_workers: 0,
-            quantized: false,
             config: ZiGongConfig::miniature(20_250_706),
         }
     }
@@ -328,16 +321,6 @@ pub fn run_table2(opts: &Table2Options) -> Table2 {
         measured: true,
         cells: cells_expert,
     });
-
-    // Optional int8 path: calibrate frozen base weights on the measured
-    // LM rows. `set_quantized` skips trainable weights, so the zero-shot
-    // base model (never LoRA-frozen) silently stays exact f32 while the
-    // LoRA-trained rows run quantized.
-    if opts.quantized {
-        for model in [&base, &sft_random, &zigong] {
-            model.set_quantized(true);
-        }
-    }
 
     // The three measured LM rows dominate benchmark wall-clock; their
     // per-item work is independent, so fan each row's items across the

@@ -113,23 +113,6 @@ impl ZiGongModel {
         }
     }
 
-    /// Toggle int8 quantized inference on the underlying LM's frozen
-    /// linear layers. Returns how many layers hold a calibration
-    /// afterwards (0 when `on == false` or no weight is frozen — e.g. a
-    /// base model that was never LoRA-frozen stays in exact f32).
-    ///
-    /// The flag survives [`ZiGongSpec`] round-trips, so parallel
-    /// evaluation workers rebuild quantized replicas bit-identical to the
-    /// original (calibration is a pure function of the weights).
-    pub fn set_quantized(&self, on: bool) -> usize {
-        self.lm.set_quantized(on)
-    }
-
-    /// Whether any layer currently holds an int8 calibration.
-    pub fn is_quantized(&self) -> bool {
-        self.lm.is_quantized()
-    }
-
     /// Encode a prompt with BOS, left-truncating to leave `reserve` tokens
     /// of headroom.
     pub fn prompt_ids(&self, prompt: &str, reserve: usize) -> Vec<u32> {
@@ -588,30 +571,6 @@ mod tests {
     fn parallel_eval_bit_identical_to_serial() {
         let mut m = tiny_zigong_with_adapters();
         let ds = german(60, 8);
-        let (_, test) = ds.split(0.3);
-        let items = eval_items(&ds, &test);
-        let serial = evaluate_classifier(&mut m, &items);
-        for workers in [1usize, 2, 3, 5] {
-            let par = evaluate_zigong(&m, &items, workers);
-            assert_eq!(par.eval.acc, serial.eval.acc, "{workers} workers");
-            assert_eq!(par.eval.f1, serial.eval.f1, "{workers} workers");
-            assert_eq!(par.eval.miss, serial.eval.miss, "{workers} workers");
-            assert_eq!(par.ks, serial.ks, "{workers} workers");
-            assert_eq!(par.auc, serial.auc, "{workers} workers");
-        }
-    }
-
-    /// Quantized evaluation must stay bit-identical across worker counts:
-    /// the spec carries the quantized flag, replicas re-calibrate from the
-    /// same weights, and int8 accumulation is order-independent.
-    #[test]
-    fn quantized_parallel_eval_bit_identical_to_serial() {
-        let mut m = tiny_zigong_with_adapters();
-        assert!(
-            m.set_quantized(true) > 0,
-            "LoRA-frozen base must calibrate at least one layer"
-        );
-        let ds = german(60, 9);
         let (_, test) = ds.split(0.3);
         let items = eval_items(&ds, &test);
         let serial = evaluate_classifier(&mut m, &items);
