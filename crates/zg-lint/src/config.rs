@@ -3,10 +3,7 @@
 //!
 //! ```toml
 //! # comment
-//! [rules]
-//! warn = ["D2"]            # rules downgraded to warnings (still reported)
-//!
-//! [r1]                     # panic-reachability roots (rule R1)
+//! [r1]                     # serve roots for index reachability (rule R1)
 //! roots = ["Server::tick", "ZiGongEngine::execute"]
 //!
 //! [r2]                     # inference-root discovery prefixes (rule R2)
@@ -16,15 +13,11 @@
 //! rule = "D1"
 //! path = "crates/zg-tensor/src/autograd.rs"   # file or directory prefix
 //! reason = "membership-only HashSet; never iterated"
-//! # kind = "index"         # optional: restrict to one finding kind
-//!
-//! [[g1]]                   # inference entry point manifest (rule G1)
-//! file = "crates/zg-model/src/lm.rs"
-//! function = "CausalLm::generate"
 //! ```
 //!
 //! Every `[[allow]]` entry **must** carry a `reason` — the config format
-//! itself enforces that suppressions are justified.
+//! itself enforces that suppressions are justified. Any other section or
+//! key is rejected.
 
 use std::fmt;
 
@@ -39,22 +32,10 @@ pub struct AllowEntry {
     pub path: String,
     /// Why this suppression is sound.
     pub reason: String,
-    /// Optional finding kind this entry is scoped to (`"index"`,
-    /// `"panic"`, `"taint"`, ...); empty matches every kind.
-    pub kind: String,
     /// 1-based line of the `[[allow]]` header in the config file, for
-    /// staleness diagnostics (rule A1). 0 for hand-built configs.
+    /// config errors and staleness diagnostics (rule A1). 0 for
+    /// hand-built configs.
     pub line: usize,
-}
-
-/// One G1 manifest entry: the inference root `function`
-/// (`Type::name` / free-fn name) discovered in `file`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct G1Entry {
-    /// Workspace-relative file path.
-    pub file: String,
-    /// Qualified function name (`Type::name` for methods).
-    pub function: String,
 }
 
 /// Parsed `lint.toml`.
@@ -62,11 +43,7 @@ pub struct G1Entry {
 pub struct Config {
     /// Allowlist entries.
     pub allow: Vec<AllowEntry>,
-    /// G1 inference entry point manifest.
-    pub g1: Vec<G1Entry>,
-    /// Rules reported as warnings instead of errors (unless `--deny-all`).
-    pub warn: Vec<String>,
-    /// R1 panic-reachability roots (qualified fn names).
+    /// R1 serve roots (qualified fn names).
     pub r1_roots: Vec<String>,
     /// R2 inference-root discovery name prefixes.
     pub r2_prefixes: Vec<String>,
@@ -90,11 +67,9 @@ impl fmt::Display for ConfigError {
 #[derive(Clone, Copy, PartialEq)]
 enum Section {
     None,
-    Rules,
     R1,
     R2,
     Allow,
-    G1,
 }
 
 impl Config {
@@ -113,18 +88,9 @@ impl Config {
                     rule: String::new(),
                     path: String::new(),
                     reason: String::new(),
-                    kind: String::new(),
                     line: lineno,
                 });
                 section = Section::Allow;
-            } else if line == "[[g1]]" {
-                cfg.g1.push(G1Entry {
-                    file: String::new(),
-                    function: String::new(),
-                });
-                section = Section::G1;
-            } else if line == "[rules]" {
-                section = Section::Rules;
             } else if line == "[r1]" {
                 section = Section::R1;
             } else if line == "[r2]" {
@@ -137,15 +103,6 @@ impl Config {
             } else {
                 let (key, value) = split_assignment(&line, lineno)?;
                 match section {
-                    Section::Rules => match key.as_str() {
-                        "warn" => cfg.warn = parse_string_array(&value, lineno)?,
-                        _ => {
-                            return Err(ConfigError {
-                                line: lineno,
-                                message: format!("unknown key `{key}` in [rules]"),
-                            })
-                        }
-                    },
                     Section::R1 => match key.as_str() {
                         "roots" => cfg.r1_roots = parse_string_array(&value, lineno)?,
                         _ => {
@@ -171,26 +128,10 @@ impl Config {
                             "rule" => &mut entry.rule,
                             "path" => &mut entry.path,
                             "reason" => &mut entry.reason,
-                            "kind" => &mut entry.kind,
                             _ => {
                                 return Err(ConfigError {
                                     line: lineno,
                                     message: format!("unknown key `{key}` in [[allow]]"),
-                                })
-                            }
-                        };
-                        *slot = parse_string(&value, lineno)?;
-                    }
-                    Section::G1 => {
-                        // INVARIANT: entering Section::G1 pushes an entry.
-                        let entry = cfg.g1.last_mut().expect("g1 entry exists");
-                        let slot = match key.as_str() {
-                            "file" => &mut entry.file,
-                            "function" => &mut entry.function,
-                            _ => {
-                                return Err(ConfigError {
-                                    line: lineno,
-                                    message: format!("unknown key `{key}` in [[g1]]"),
                                 })
                             }
                         };
@@ -213,13 +154,13 @@ impl Config {
         for entry in &self.allow {
             if entry.rule.is_empty() || entry.path.is_empty() {
                 return Err(ConfigError {
-                    line: 0,
+                    line: entry.line,
                     message: "[[allow]] entry needs both `rule` and `path`".into(),
                 });
             }
             if entry.reason.is_empty() {
                 return Err(ConfigError {
-                    line: 0,
+                    line: entry.line,
                     message: format!(
                         "[[allow]] entry for {} / {} has no `reason` — every \
                          suppression must be justified",
@@ -228,31 +169,20 @@ impl Config {
                 });
             }
         }
-        for entry in &self.g1 {
-            if entry.file.is_empty() || entry.function.is_empty() {
-                return Err(ConfigError {
-                    line: 0,
-                    message: "[[g1]] entry needs both `file` and `function`".into(),
-                });
-            }
-        }
         Ok(())
     }
 
-    /// Whether `rule` at `path` is suppressed by an allowlist entry
-    /// (kind-agnostic entries only — lexical rules carry no kind).
+    /// Whether `rule` at `path` is suppressed by an allowlist entry.
     pub fn is_allowed(&self, rule: &str, path: &str) -> bool {
-        self.matching_allow(rule, path, "").is_some()
+        self.matching_allow(rule, path).is_some()
     }
 
-    /// Index of the first allowlist entry suppressing (`rule`, `path`,
-    /// `kind`). An entry with an empty `kind` matches every kind; an
-    /// entry with a concrete kind matches only that kind. Returning the
-    /// index lets the engine track which entries ever fire (rule A1).
-    pub fn matching_allow(&self, rule: &str, path: &str, kind: &str) -> Option<usize> {
+    /// Index of the first allowlist entry suppressing `rule` at `path`.
+    /// Returning the index lets the engine track which entries ever fire
+    /// (rule A1).
+    pub fn matching_allow(&self, rule: &str, path: &str) -> Option<usize> {
         self.allow.iter().position(|e| {
             e.rule == rule
-                && (e.kind.is_empty() || e.kind == kind)
                 && (e.path == path
                     || (path.starts_with(&e.path)
                         && path.as_bytes().get(e.path.len()) == Some(&b'/')))
@@ -322,32 +252,24 @@ mod tests {
         let cfg = Config::parse(
             r#"
 # top comment
-[rules]
-warn = ["D2"]
-
 [[allow]]
 rule = "D1"
 path = "crates/x/src/a.rs"   # trailing comment
 reason = "lookup only"
-
-[[g1]]
-file = "crates/m/src/lm.rs"
-function = "generate"
 "#,
         )
         .expect("parse");
-        assert_eq!(cfg.warn, vec!["D2"]);
         assert_eq!(cfg.allow.len(), 1);
         assert_eq!(cfg.allow[0].path, "crates/x/src/a.rs");
-        assert_eq!(cfg.g1.len(), 1);
-        assert_eq!(cfg.g1[0].function, "generate");
     }
 
     #[test]
     fn allow_without_reason_rejected() {
-        let err =
-            Config::parse("[[allow]]\nrule = \"D1\"\npath = \"x.rs\"\n").expect_err("must reject");
+        let err = Config::parse("# header\n[[allow]]\nrule = \"D1\"\npath = \"x.rs\"\n")
+            .expect_err("must reject");
         assert!(err.message.contains("reason"));
+        assert_eq!(err.line, 2, "the error points at the [[allow]] header");
+        assert!(err.to_string().starts_with("lint.toml:2: "), "{err}");
     }
 
     #[test]
@@ -355,6 +277,10 @@ function = "generate"
         assert!(Config::parse("[[allow]]\nbogus = \"x\"\n").is_err());
         assert!(Config::parse("[weird]\n").is_err());
         assert!(Config::parse("orphan = \"x\"\n").is_err());
+        // Sections and keys outside the grammar are errors, not ignored.
+        assert!(Config::parse("[rules]\nwarn = [\"A1\"]\n").is_err());
+        assert!(Config::parse("[[g1]]\nfile = \"x.rs\"\nfunction = \"f\"\n").is_err());
+        assert!(Config::parse("[[allow]]\nrule = \"R1\"\nkind = \"index\"\n").is_err());
     }
 
     #[test]
@@ -370,12 +296,6 @@ function = "generate"
     }
 
     #[test]
-    fn empty_warn_array() {
-        let cfg = Config::parse("[rules]\nwarn = []\n").expect("parse");
-        assert!(cfg.warn.is_empty());
-    }
-
-    #[test]
     fn r1_and_r2_sections_parse() {
         let cfg = Config::parse(
             "[r1]\nroots = [\"Server::tick\", \"ZiGongEngine::execute\"]\n\n\
@@ -384,25 +304,12 @@ function = "generate"
         .expect("parse");
         assert_eq!(cfg.r1_roots, vec!["Server::tick", "ZiGongEngine::execute"]);
         assert_eq!(cfg.r2_prefixes, vec!["evaluate_", "generate"]);
+        assert!(Config::parse("[r2]\nentry_prefixes = []\n")
+            .expect("parse")
+            .r2_prefixes
+            .is_empty());
         assert!(Config::parse("[r1]\nbogus = []\n").is_err());
         assert!(Config::parse("[r2]\nbogus = []\n").is_err());
-    }
-
-    #[test]
-    fn kind_scoped_allow_matches_only_its_kind() {
-        let cfg = Config::parse(
-            "[[allow]]\nrule = \"R1\"\npath = \"crates/zg-tensor\"\n\
-             kind = \"index\"\nreason = \"shape-checked kernels\"\n",
-        )
-        .expect("parse");
-        assert!(cfg
-            .matching_allow("R1", "crates/zg-tensor/src/ops.rs", "index")
-            .is_some());
-        assert!(cfg
-            .matching_allow("R1", "crates/zg-tensor/src/ops.rs", "panic")
-            .is_none());
-        // Kind-agnostic lookup (lexical rules) skips kind-scoped entries.
-        assert!(!cfg.is_allowed("R1", "crates/zg-tensor/src/ops.rs"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Phase 0 walks the workspace, lexes every `.rs` file, and runs the
 //! lexical rules (D1/D2/P1/U1). Phase 1 parses each lexed file into its
 //! item model ([`crate::model`]); phase 2 links the workspace call graph
-//! ([`crate::graph`]) and runs the reachability rules R1–R4 plus the
-//! emitted G1 manifest ([`crate::reach`]). Allowlist filtering and
+//! ([`crate::graph`]), runs the reachability rules R1/R2/R4 and emits the
+//! inference-root manifest ([`crate::reach`]). Allowlist filtering and
 //! staleness tracking (rule A1) are shared across phases.
 //!
 //! All ordering is explicit — input files are sorted by path before any
@@ -15,11 +15,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::config::{Config, G1Entry};
+use crate::config::Config;
 use crate::graph::CallGraph;
 use crate::lexer::{lex, SourceModel};
 use crate::model::{parse_file, FileModel};
-use crate::reach::{self, GraphStats};
+use crate::reach::{self, GraphStats, ManifestEntry};
 use crate::rules::{check_file, Violation};
 
 /// Directory names never scanned: build output, vendored crates, and
@@ -42,8 +42,8 @@ pub struct ScanResult {
     pub allowed: Vec<Violation>,
     /// Workspace-relative paths scanned, sorted.
     pub files: Vec<String>,
-    /// The emitted G1 manifest (discovered inference roots), sorted.
-    pub manifest: Vec<G1Entry>,
+    /// The emitted manifest (discovered inference roots), sorted.
+    pub manifest: Vec<ManifestEntry>,
     /// Call-graph shape counters.
     pub stats: GraphStats,
 }
@@ -103,7 +103,7 @@ pub fn scan_source(path: &str, src: &str, config: &Config) -> Vec<Violation> {
     if is_test_path(path) {
         force_test_scope(&mut model);
     }
-    check_file(path, &model, config)
+    check_file(path, &model)
         .into_iter()
         .filter(|v| !config.is_allowed(v.rule, path))
         .collect()
@@ -120,41 +120,28 @@ fn run_pipeline(mut sources: Vec<(String, String)>, config: &Config) -> ScanResu
     sources.dedup_by(|a, b| a.0 == b.0);
 
     let mut result = ScanResult::default();
-    let mut matched = vec![false; config.allow.len()];
-
-    // Lexical G1 (token-in-body) is superseded in graph mode by R2
-    // guard domination + manifest equality; strip the manifest so
-    // phase 0 doesn't double-report against qualified entries.
-    let mut lexical_config = config.clone();
-    lexical_config.g1.clear();
-
+    // Both phases' findings go through one allowlist filter.
+    let mut found: Vec<Violation> = Vec::new();
     let mut models: Vec<FileModel> = Vec::new();
     for (path, src) in &sources {
         let mut model = lex(src);
         if is_test_path(path) {
             force_test_scope(&mut model);
         }
-        for v in check_file(path, &model, &lexical_config) {
-            match config.matching_allow(v.rule, path, "") {
-                Some(i) => {
-                    matched[i] = true;
-                    result.allowed.push(v);
-                }
-                None => result.violations.push(v),
-            }
-        }
+        found.extend(check_file(path, &model));
         models.push(parse_file(path, &model));
     }
+    let outcome = reach::analyze(&CallGraph::link(&models), config);
+    found.extend(outcome.findings);
 
-    let graph = CallGraph::link(&models);
-    let outcome = reach::analyze(&graph, config);
-    for f in outcome.findings {
-        match config.matching_allow(f.violation.rule, &f.violation.path, f.kind) {
+    let mut matched = vec![false; config.allow.len()];
+    for v in found {
+        match config.matching_allow(v.rule, &v.path) {
             Some(i) => {
                 matched[i] = true;
-                result.allowed.push(f.violation);
+                result.allowed.push(v);
             }
-            None => result.violations.push(f.violation),
+            None => result.violations.push(v),
         }
     }
 
@@ -162,18 +149,13 @@ fn run_pipeline(mut sources: Vec<(String, String)>, config: &Config) -> ScanResu
     // entry that no longer suppresses anything is itself a finding.
     for (i, entry) in config.allow.iter().enumerate() {
         if !matched[i] {
-            let kind = if entry.kind.is_empty() {
-                String::new()
-            } else {
-                format!(", kind \"{}\"", entry.kind)
-            };
             result.violations.push(Violation {
                 path: "lint.toml".to_string(),
                 line: entry.line.max(1),
                 col: 1,
                 rule: "A1",
                 message: format!(
-                    "stale [[allow]] entry: rule {} under `{}`{kind} matches no \
+                    "stale [[allow]] entry: rule {} under `{}` matches no \
                      violation — the exception has rotted; remove it or fix the \
                      rule/path",
                     entry.rule, entry.path

@@ -5,28 +5,25 @@
 //! numbers in the paper reproduction depend on stable rankings. Those
 //! guarantees die silently the first time a result-affecting `HashMap`
 //! iteration or an unseeded RNG slips in — so the invariants are
-//! machine-checked here, as five rule families (see [`rules`]):
+//! machine-checked here, one rule per invariant. Phase 0 of a two-phase
+//! engine runs the lexical families (see [`rules`]):
 //!
 //! * **D1** — determinism: no `HashMap`/`HashSet` in library code.
 //! * **D2** — determinism: no wall-clock / OS entropy in library code.
-//! * **P1** — panic-freedom: no unjustified `unwrap`/`expect`/`panic!`.
+//! * **P1** — panic-freedom: no unjustified `unwrap`/`expect`/`panic!`
+//!   family call in library code.
 //! * **U1** — unsafe hygiene: every `unsafe` carries a `// SAFETY:` note.
-//! * **G1** — no-grad coverage: manifest-listed inference entry points
-//!   run under `no_grad`.
 //!
-//! Those lexical families are phase 0 of a two-phase engine. Phase 1
-//! parses every file into a lightweight item model ([`model`]); phase 2
-//! links a workspace call graph ([`graph`]) and runs interprocedural
-//! reachability rules over it ([`reach`]):
+//! Phase 1 parses every file into a lightweight item model ([`model`]);
+//! phase 2 links a workspace call graph ([`graph`]) and runs the
+//! properties only a call graph can see ([`reach`]):
 //!
-//! * **R1** — panic-reachability: nothing reachable from the serve
-//!   roots may panic or index unjustified.
+//! * **R1** — index safety: no unjustified slice index reachable from
+//!   the serve roots.
 //! * **R2** — no_grad domination: auto-discovered inference roots must
-//!   be guarded on every tape-reaching path; the discovered set *is*
-//!   the G1 manifest, emitted into `lint_graph.json` and diffed
-//!   against `lint.toml` (rule G1) so it cannot rot.
-//! * **R3** — interprocedural D2: wall-clock / entropy taint through
-//!   calls, three crates away if need be.
+//!   be guarded on every tape-reaching path. The discovered set is
+//!   emitted into `results/lint_graph.json`, its one committed copy,
+//!   which CI re-emits and diffs.
 //! * **R4** — unsafe propagation: `#[target_feature]` callees require
 //!   a runtime CPUID gate or an `unsafe` contract.
 //! * **A1** — allowlist hygiene: stale `[[allow]]` entries are flagged.
@@ -36,8 +33,8 @@
 //! `mod tests` scopes so rules only see non-test library code —
 //! `tests/`, `benches/`, and `examples/` directories are walked too,
 //! wholesale as test scope. Rules are suppressed per file via
-//! `lint.toml` allow entries, each of which must carry a written reason
-//! (and may be scoped to one finding `kind`). The same pass runs three
+//! `lint.toml` allow entries, each of which must carry a written reason.
+//! Every finding is an error. The same pass runs three
 //! ways: the `zg-lint` binary (CI gate), the `workspace_clean`
 //! integration test (tier-1 `cargo test` gate), and
 //! [`engine::scan_source`] / [`engine::scan_sources`] for fixture tests.

@@ -2,19 +2,18 @@
 //! violations rustc-style.
 //!
 //! ```text
-//! zg-lint [ROOT] [--config PATH] [--json] [--deny-all] [--quiet] [--emit PATH]
+//! zg-lint [ROOT] [--config PATH] [--json] [--quiet] [--emit PATH]
 //! ```
 //!
 //! * `ROOT` — workspace root (default: walk up from the current dir).
 //! * `--config PATH` — lint config (default: `ROOT/lint.toml`).
 //! * `--json` — print a machine-readable summary instead of diagnostics.
-//! * `--deny-all` — treat `[rules] warn` downgrades as errors too.
 //! * `--quiet` — suppress per-violation diagnostics, print the summary only.
 //! * `--emit PATH` — write the deterministic `lint_graph.json` document
-//!   (call-graph stats, per-rule findings, emitted G1 manifest) to PATH.
+//!   (call-graph stats, per-rule findings, inference-root manifest) to PATH.
 //!
-//! Exit code 0 when no error-level violations remain, 1 otherwise, 2 on
-//! usage/config errors.
+//! Every violation is an error: exit code 0 when none remain, 1
+//! otherwise, 2 on usage/config errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,7 +24,6 @@ struct Args {
     root: Option<PathBuf>,
     config: Option<PathBuf>,
     json: bool,
-    deny_all: bool,
     quiet: bool,
     emit: Option<PathBuf>,
 }
@@ -35,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         config: None,
         json: false,
-        deny_all: false,
         quiet: false,
         emit: None,
     };
@@ -43,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => args.json = true,
-            "--deny-all" => args.deny_all = true,
             "--quiet" => args.quiet = true,
             "--config" => {
                 let path = it.next().ok_or("--config needs a path")?;
@@ -55,8 +51,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: zg-lint [ROOT] [--config PATH] [--json] [--deny-all] [--quiet] \
-                     [--emit PATH]"
+                    "usage: zg-lint [ROOT] [--config PATH] [--json] [--quiet] [--emit PATH]"
                         .to_string(),
                 )
             }
@@ -87,7 +82,7 @@ fn main() -> ExitCode {
         }
     };
     let config_path = args.config.unwrap_or_else(|| root.join("lint.toml"));
-    let mut config = if config_path.is_file() {
+    let config = if config_path.is_file() {
         let text = match std::fs::read_to_string(&config_path) {
             Ok(t) => t,
             Err(e) => {
@@ -105,10 +100,6 @@ fn main() -> ExitCode {
     } else {
         Config::default()
     };
-    if args.deny_all {
-        config.warn.clear();
-    }
-
     let result = match engine::scan_workspace(&root, &config) {
         Ok(r) => r,
         Err(e) => {
@@ -135,18 +126,18 @@ fn main() -> ExitCode {
     if args.json {
         println!("{}", report::to_json(&result));
     } else if args.quiet {
-        let rendered = report::render(&result, &config, None);
+        let rendered = report::render(&result, None);
         // Summary is the final line of the rendered report.
         if let Some(last) = rendered.lines().next_back() {
             println!("{last}");
         }
     } else {
-        print!("{}", report::render(&result, &config, Some(&root)));
+        print!("{}", report::render(&result, Some(&root)));
     }
 
-    if report::count_errors(&result, &config) > 0 {
-        ExitCode::from(1)
-    } else {
+    if result.violations.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -7,11 +7,10 @@
 //! * every call site in a body, classified as a free call (`foo(..)`),
 //!   a method call (`x.y.foo(..)`, receiver chain kept for
 //!   field-type resolution), or a path call (`Type::foo(..)`);
-//! * panic tokens (`.unwrap()` / `.expect(` / `panic!` family) and
-//!   slice-index expressions (`x[..]`), each with its `// INVARIANT:`
+//! * slice-index expressions (`x[..]`), each with its `// INVARIANT:`
 //!   justification status;
-//! * guard tokens: `no_grad(` calls, `is_x86_feature_detected!` CPUID
-//!   gates, and direct wall-clock / OS-entropy reads (the D2 set);
+//! * guard tokens: `no_grad(` calls and `is_x86_feature_detected!` CPUID
+//!   gates;
 //! * `struct` field types and simple `let`/parameter types, which feed
 //!   the receiver-type heuristics in [`crate::graph`].
 //!
@@ -71,15 +70,11 @@ pub struct CallSite {
     pub kind: CallKind,
 }
 
-/// A potentially-panicking token site inside a body.
+/// A slice-index expression (`x[..]`) inside a body.
 #[derive(Debug, Clone)]
-pub struct PanicSite {
+pub struct IndexSite {
     /// 0-based source line.
     pub line: usize,
-    /// 1-based column of the token.
-    pub col: usize,
-    /// The token (`"unwrap"`, `"panic!"`, `"index"` ...).
-    pub what: String,
     /// Whether an `// INVARIANT:` justification covers the line.
     pub justified: bool,
 }
@@ -104,17 +99,12 @@ pub struct FnItem {
     pub in_test: bool,
     /// Call sites in the body, in source order.
     pub calls: Vec<CallSite>,
-    /// Panic tokens (`unwrap`/`expect`/`panic!` family) in the body.
-    pub panic_sites: Vec<PanicSite>,
     /// Slice-index expressions (`x[..]`) in the body.
-    pub index_sites: Vec<PanicSite>,
+    pub index_sites: Vec<IndexSite>,
     /// Body calls `no_grad(..)` — a grad-guard node for R2.
     pub calls_no_grad: bool,
     /// Body contains `is_x86_feature_detected!` — a CPUID gate for R4.
     pub has_cpuid_gate: bool,
-    /// Direct wall-clock / OS-entropy token (`Instant::now`,
-    /// `SystemTime`, `thread_rng`), with its line, for R3.
-    pub d2_token: Option<(usize, String)>,
     /// Known local types: parameter and simple `let` bindings,
     /// name → type's last path segment.
     pub locals: BTreeMap<String, String>,
@@ -122,7 +112,7 @@ pub struct FnItem {
 
 impl FnItem {
     /// `Type::name` for methods, bare `name` for free fns — the form
-    /// used by rule roots and the emitted G1 manifest.
+    /// used by rule roots and the emitted inference-root manifest.
     pub fn qualified_name(&self) -> String {
         match &self.impl_type {
             Some(t) => format!("{t}::{}", self.name),
@@ -180,9 +170,10 @@ pub fn tokenize(model: &SourceModel) -> Vec<Tok> {
     toks
 }
 
-/// A justification comment (`tag`) on the flagged line or in the
-/// contiguous comment block directly above it. Shared with the lexical
-/// P1/U1 rules.
+/// A justification comment (`tag`) on the flagged line or anywhere in
+/// the contiguous comment block directly above it (lines whose code view
+/// is blank — pure comment or empty lines). Shared by R1 and the lexical
+/// P1/U1 rules, so every rule accepts the same justification.
 pub(crate) fn justified(model: &SourceModel, idx: usize, tag: &str) -> bool {
     if model.lines[idx].comment.contains(tag) {
         return true;
@@ -619,8 +610,8 @@ impl<'a> Parser<'a> {
         self.out.fns.push(item);
     }
 
-    /// Walk a body to its matching `}`, collecting call sites, panic and
-    /// index tokens, guard tokens, and simple `let` types. Nested `fn`
+    /// Walk a body to its matching `}`, collecting call sites, index
+    /// expressions, guard tokens, and simple `let` types. Nested `fn`
     /// items are parsed as their own [`FnItem`]s.
     fn parse_body(&mut self, item: &mut FnItem, impl_type: Option<&str>) {
         let mut depth = 1i64;
@@ -652,10 +643,8 @@ impl<'a> Parser<'a> {
                         || p.is(']')
                 });
                 if is_index && !item.in_test {
-                    item.index_sites.push(PanicSite {
+                    item.index_sites.push(IndexSite {
                         line: t.line,
-                        col: 1,
-                        what: "index".to_string(),
                         justified: justified(self.src, t.line, "INVARIANT:"),
                     });
                 }
@@ -705,39 +694,13 @@ impl<'a> Parser<'a> {
                     }
                     continue;
                 }
-                // Macro invocation `name!..`: panic-family macros are
-                // panic sites; all macros are otherwise skipped as calls.
+                // Macro invocation `name!..`: skipped as a call.
                 if self.peek(1).is_some_and(|n| n.is('!')) {
                     if name == "is_x86_feature_detected" {
                         item.has_cpuid_gate = true;
                     }
-                    if ["panic", "unreachable", "todo", "unimplemented"].contains(&name)
-                        && !item.in_test
-                        && !self.in_test_at(t.line)
-                    {
-                        item.panic_sites.push(PanicSite {
-                            line: t.line,
-                            col: 1,
-                            what: format!("{name}!"),
-                            justified: justified(self.src, t.line, "INVARIANT:"),
-                        });
-                    }
                     self.i += 2;
                     continue;
-                }
-                // D2 tokens.
-                if name == "SystemTime" || name == "thread_rng" {
-                    item.d2_token.get_or_insert((t.line, name.to_string()));
-                }
-                if name == "Instant"
-                    && self.peek(1).is_some_and(|n| n.is(':'))
-                    && self.peek(2).is_some_and(|n| n.is(':'))
-                    && self
-                        .peek(3)
-                        .is_some_and(|n| n.is_ident() && n.text == "now")
-                {
-                    item.d2_token
-                        .get_or_insert((t.line, "Instant::now".to_string()));
                 }
                 // Call site: identifier directly followed by `(`.
                 if self.peek(1).is_some_and(|n| n.is('(')) && !KEYWORDS.contains(&name) {
@@ -762,20 +725,6 @@ impl<'a> Parser<'a> {
             .cloned();
         let kind = match prev {
             Some(p) if p.is('.') => {
-                // Panic tokens ride on method syntax.
-                if !item.in_test && !self.in_test_at(t.line) {
-                    let bare_unwrap = name == "unwrap"
-                        && self.peek(1).is_some_and(|n| n.is('('))
-                        && self.peek(2).is_some_and(|n| n.is(')'));
-                    if bare_unwrap || name == "expect" {
-                        item.panic_sites.push(PanicSite {
-                            line: t.line,
-                            col: 1,
-                            what: name.clone(),
-                            justified: justified(self.src, t.line, "INVARIANT:"),
-                        });
-                    }
-                }
                 // Receiver chain: walk `ident(.ident)*` leftward.
                 let mut chain = Vec::new();
                 let mut j = self.i - 1; // at '.'
@@ -902,35 +851,27 @@ impl Engine for ZiGongEngine {
     }
 
     #[test]
-    fn panic_and_index_sites_with_justification() {
+    fn index_sites_with_justification() {
         let src = "\
-pub fn f(v: &[u32], o: Option<u32>) -> u32 {
+pub fn f(v: &[u32]) -> u32 {
     let a = v[0];
     // INVARIANT: checked non-empty above.
     let b = v[1];
-    o.unwrap();
-    o.expect(\"set\"); // INVARIANT: always set
-    panic!(\"boom\");
-    a + b
+    let c = v[2]; // INVARIANT: len checked by the caller
+    a + b + c
 }
 ";
         let m = parse(src);
         let f = &m.fns[0];
-        assert_eq!(f.index_sites.len(), 2);
-        assert!(!f.index_sites[0].justified);
-        assert!(f.index_sites[1].justified);
-        let whats: Vec<&str> = f.panic_sites.iter().map(|p| p.what.as_str()).collect();
-        assert_eq!(whats, vec!["unwrap", "expect", "panic!"]);
-        assert!(!f.panic_sites[0].justified);
-        assert!(f.panic_sites[1].justified);
+        let justified: Vec<bool> = f.index_sites.iter().map(|s| s.justified).collect();
+        assert_eq!(justified, vec![false, true, true]);
     }
 
     #[test]
-    fn unwrap_or_and_macros_are_not_panic_sites() {
+    fn macro_brackets_are_not_index_sites() {
         let m = parse(
             "pub fn f(o: Option<u32>) -> u32 {\n    let v = vec![1];\n    o.unwrap_or(v[0])\n}\n",
         );
-        assert!(m.fns[0].panic_sites.is_empty());
         // vec![..] is a macro, not an index expression; v[0] is an index.
         assert_eq!(m.fns[0].index_sites.len(), 1);
     }
@@ -940,15 +881,10 @@ pub fn f(v: &[u32], o: Option<u32>) -> u32 {
         let src = "\
 pub fn g() { no_grad(|| body()); }
 pub fn s() -> bool { std::arch::is_x86_feature_detected!(\"avx2\") }
-pub fn w() -> f64 { let t = std::time::Instant::now(); drop(t); 0.0 }
 ";
         let m = parse(src);
         assert!(m.fns[0].calls_no_grad);
         assert!(m.fns[1].has_cpuid_gate);
-        assert_eq!(
-            m.fns[2].d2_token.as_ref().map(|d| d.1.as_str()),
-            Some("Instant::now")
-        );
     }
 
     #[test]
@@ -986,14 +922,14 @@ pub trait Engine {
 fn lib() {}
 #[cfg(test)]
 mod tests {
-    fn helper() { x.unwrap(); }
+    fn helper(v: &[u32]) -> u32 { v[0] }
 }
 ";
         let m = parse(src);
         assert!(!m.fns[0].in_test);
         assert!(m.fns[1].in_test);
-        // Panic sites inside test scope are not collected.
-        assert!(m.fns[1].panic_sites.is_empty());
+        // Index sites inside test scope are not collected.
+        assert!(m.fns[1].index_sites.is_empty());
     }
 
     #[test]

@@ -6,35 +6,29 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::config::Config;
 use crate::engine::ScanResult;
 use crate::rules::{Violation, RULE_IDS};
 
 /// Render violations rustc-style, with the offending source line when the
-/// workspace `root` is available to read it from.
-pub fn render(result: &ScanResult, config: &Config, root: Option<&Path>) -> String {
+/// workspace `root` is available to read it from. Every violation is an
+/// error.
+pub fn render(result: &ScanResult, root: Option<&Path>) -> String {
     let mut out = String::new();
     for v in &result.violations {
-        let level = if config.warn.iter().any(|r| r == v.rule) {
-            "warning"
-        } else {
-            "error"
-        };
-        render_one(&mut out, v, level, root);
+        render_one(&mut out, v, root);
     }
-    let errors = count_errors(result, config);
-    let warnings = result.violations.len() - errors;
     let _ = writeln!(
         out,
-        "zg-lint: {} file(s) scanned, {errors} error(s), {warnings} warning(s), {} allowed",
+        "zg-lint: {} file(s) scanned, {} error(s), {} allowed",
         result.files.len(),
+        result.violations.len(),
         result.allowed.len()
     );
     out
 }
 
-fn render_one(out: &mut String, v: &Violation, level: &str, root: Option<&Path>) {
-    let _ = writeln!(out, "{level}[{}]: {}", v.rule, v.message);
+fn render_one(out: &mut String, v: &Violation, root: Option<&Path>) {
+    let _ = writeln!(out, "error[{}]: {}", v.rule, v.message);
     let _ = writeln!(out, "  --> {}:{}:{}", v.path, v.line, v.col);
     if let Some(root) = root {
         if let Ok(src) = std::fs::read_to_string(root.join(&v.path)) {
@@ -50,29 +44,24 @@ fn render_one(out: &mut String, v: &Violation, level: &str, root: Option<&Path>)
     out.push('\n');
 }
 
-/// Violations counted at error level (not downgraded by `[rules] warn`).
-pub fn count_errors(result: &ScanResult, config: &Config) -> usize {
-    result
-        .violations
-        .iter()
-        .filter(|v| !config.warn.iter().any(|r| r == v.rule))
-        .count()
-}
-
-/// JSON summary: per-rule violation counts plus scan totals. Key order is
-/// fixed (BTreeMap + the static rule list) for byte-stable output.
-pub fn to_json(result: &ScanResult) -> serde_json::Value {
+/// Violation count per rule id, zeros included. Key order is fixed
+/// (BTreeMap + the static rule list) for byte-stable output.
+fn counts_by_rule(result: &ScanResult) -> serde_json::Value {
     let mut counts: BTreeMap<&str, usize> = RULE_IDS.iter().map(|&r| (r, 0)).collect();
     for v in &result.violations {
         if let Some(slot) = counts.get_mut(v.rule) {
             *slot += 1;
         }
     }
-    let mut by_rule_map = serde_json::Map::new();
+    let mut map = serde_json::Map::new();
     for (rule, n) in counts {
-        by_rule_map.insert(rule.to_string(), serde_json::json!(n));
+        map.insert(rule.to_string(), serde_json::json!(n));
     }
-    let by_rule = serde_json::Value::Object(by_rule_map);
+    serde_json::Value::Object(map)
+}
+
+/// JSON summary: per-rule violation counts plus scan totals.
+pub fn to_json(result: &ScanResult) -> serde_json::Value {
     let violations: Vec<serde_json::Value> = result
         .violations
         .iter()
@@ -89,27 +78,17 @@ pub fn to_json(result: &ScanResult) -> serde_json::Value {
         "files_scanned": result.files.len(),
         "total_violations": result.violations.len(),
         "allowed": result.allowed.len(),
-        "by_rule": by_rule,
+        "by_rule": counts_by_rule(result),
         "violations": violations,
     })
 }
 
 /// The `lint_graph.json` document: call-graph shape, per-rule findings,
-/// and the emitted G1 manifest. Committed to `results/` and diffed in CI
-/// so manifest drift fails the build — the serializer (BTreeMap-backed
-/// maps, pre-sorted vectors) makes the bytes a pure function of the
-/// scanned tree.
+/// and the emitted inference-root manifest. Committed to `results/` (the
+/// manifest's only copy) and diffed in CI so manifest drift fails the
+/// build — the serializer (BTreeMap-backed maps, pre-sorted vectors)
+/// makes the bytes a pure function of the scanned tree.
 pub fn graph_json(result: &ScanResult) -> String {
-    let mut counts: BTreeMap<&str, usize> = RULE_IDS.iter().map(|&r| (r, 0)).collect();
-    for v in &result.violations {
-        if let Some(slot) = counts.get_mut(v.rule) {
-            *slot += 1;
-        }
-    }
-    let mut findings = serde_json::Map::new();
-    for (rule, n) in counts {
-        findings.insert(rule.to_string(), serde_json::json!(n));
-    }
     let violations: Vec<serde_json::Value> = result
         .violations
         .iter()
@@ -136,16 +115,15 @@ pub fn graph_json(result: &ScanResult) -> String {
         "external_calls": result.stats.external_calls,
         "r1_reachable": result.stats.r1_reachable,
         "r2_roots": result.stats.r2_roots,
-        "r3_tainted": result.stats.r3_tainted,
         "r4_dangerous": result.stats.r4_dangerous,
     });
     let doc = serde_json::json!({
-        "schema": "zg-lint/graph-v1",
+        "schema": "zg-lint/graph-v2",
         "files_scanned": result.files.len(),
         "graph": graph,
-        "findings": serde_json::Value::Object(findings),
+        "findings": counts_by_rule(result),
         "allowed": result.allowed.len(),
-        "g1_manifest": manifest,
+        "manifest": manifest,
         "violations": violations,
     });
     let mut out = serde_json::to_string_pretty(&doc)

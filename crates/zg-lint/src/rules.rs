@@ -1,15 +1,17 @@
-//! The five rule families enforced over the lexed code view.
+//! The four lexical rule families enforced over the lexed code view.
 //!
 //! | id | invariant |
 //! |----|-----------|
 //! | D1 | no `HashMap`/`HashSet` in non-test library code (iteration order is nondeterministic; use `BTreeMap`/`BTreeSet`/sorted vecs, or allowlist membership-only uses) |
 //! | D2 | no wall-clock / OS entropy in library code (`Instant::now`, `SystemTime`, `thread_rng`); randomness must flow through seeded RNGs |
-//! | P1 | no `unwrap()` / `expect(..)` / `panic!` in non-test library code without an `// INVARIANT:` justification on the same line or the comment block above |
+//! | P1 | no `unwrap()` / `expect(..)` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test library code without an `// INVARIANT:` justification on the same line or the comment block above |
 //! | U1 | every `unsafe` must carry a `// SAFETY:` comment on the same line or in the comment block above |
-//! | G1 | manifest-listed public inference entry points must call `no_grad` |
+//!
+//! D2 and P1 are workspace-wide, so they also cover every call path the
+//! graph rules could trace to a wall-clock read or a panic.
 
-use crate::config::Config;
 use crate::lexer::SourceModel;
+use crate::model::justified;
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +22,7 @@ pub struct Violation {
     pub line: usize,
     /// 1-based column of the match in the source line.
     pub col: usize,
-    /// Rule id (`"D1"` .. `"G1"`, `"R1"` .. `"R4"`, `"A1"`).
+    /// Rule id, one of [`RULE_IDS`].
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -49,35 +51,17 @@ impl PartialOrd for Violation {
 
 /// All rule ids, in report order: lexical families first, then the
 /// call-graph reachability families, then allowlist hygiene.
-pub const RULE_IDS: [&str; 10] = ["D1", "D2", "P1", "U1", "G1", "R1", "R2", "R3", "R4", "A1"];
+pub const RULE_IDS: [&str; 8] = ["D1", "D2", "P1", "U1", "R1", "R2", "R4", "A1"];
 
-/// One-line summary per rule (used by `--explain` and the docs).
-pub fn rule_summary(rule: &str) -> &'static str {
-    match rule {
-        "D1" => "HashMap/HashSet in library code: iteration order is nondeterministic",
-        "D2" => "wall-clock or OS entropy in library code: breaks seeded reproducibility",
-        "P1" => "unwrap()/expect()/panic! in library code without // INVARIANT: justification",
-        "U1" => "unsafe without a // SAFETY: comment",
-        "G1" => "committed [[g1]] manifest diverges from the discovered inference roots",
-        "R1" => "panic/unwrap/expect/index reachable from a serve root without justification",
-        "R2" => "inference root reaches the autograd tape without a dominating no_grad guard",
-        "R3" => "fn transitively reaches a wall-clock / OS-entropy read (interprocedural D2)",
-        "R4" => "target_feature unsafe fn called without a runtime CPUID gate",
-        "A1" => "stale lint.toml [[allow]] entry matches no violation",
-        _ => "unknown rule",
-    }
-}
-
-/// Run every rule over one lexed file. `path` is workspace-relative and
-/// only used for reporting and G1 manifest matching; allowlist filtering
+/// Run every lexical rule over one lexed file. `path` is
+/// workspace-relative and only used for reporting; allowlist filtering
 /// happens in the engine, not here.
-pub fn check_file(path: &str, model: &SourceModel, config: &Config) -> Vec<Violation> {
+pub fn check_file(path: &str, model: &SourceModel) -> Vec<Violation> {
     let mut out = Vec::new();
     check_d1(path, model, &mut out);
     check_d2(path, model, &mut out);
     check_p1(path, model, &mut out);
     check_u1(path, model, &mut out);
-    check_g1(path, model, config, &mut out);
     out.sort();
     out
 }
@@ -152,30 +136,19 @@ fn check_d2(path: &str, model: &SourceModel, out: &mut Vec<Violation>) {
     }
 }
 
-/// A justification comment counts when it appears on the flagged line
-/// itself or anywhere in the contiguous comment block directly above it
-/// (lines whose code view is blank — pure comment or empty lines).
-fn justified(model: &SourceModel, idx: usize, tag: &str) -> bool {
-    if model.lines[idx].comment.contains(tag) {
-        return true;
-    }
-    for line in model.lines[..idx].iter().rev() {
-        if !line.code.trim().is_empty() {
-            return false;
-        }
-        if line.comment.contains(tag) {
-            return true;
-        }
-    }
-    false
-}
-
 fn check_p1(path: &str, model: &SourceModel, out: &mut Vec<Violation>) {
     for (idx, line) in model.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
-        for needle in [".unwrap()", ".expect(", "panic!", "unreachable!", "todo!"] {
+        for needle in [
+            ".unwrap()",
+            ".expect(",
+            "panic!",
+            "unreachable!",
+            "todo!",
+            "unimplemented!",
+        ] {
             let hits: Vec<usize> = if needle.starts_with('.') {
                 // Method calls: exact match (keeps `.unwrap_or(..)` legal).
                 let mut v = Vec::new();
@@ -235,89 +208,13 @@ fn check_u1(path: &str, model: &SourceModel, out: &mut Vec<Violation>) {
     }
 }
 
-/// G1: each manifest entry (`file`, `function`) must resolve to a
-/// non-test `fn` whose brace-matched body mentions `no_grad`.
-fn check_g1(path: &str, model: &SourceModel, config: &Config, out: &mut Vec<Violation>) {
-    for entry in config.g1.iter().filter(|e| e.file == path) {
-        // Manifest entries may be qualified (`Type::name`); the body
-        // lookup wants the bare fn name.
-        let bare = entry
-            .function
-            .rsplit("::")
-            .next()
-            .unwrap_or(&entry.function);
-        match fn_body_lines(model, bare) {
-            None => out.push(Violation {
-                path: path.to_string(),
-                line: 1,
-                col: 1,
-                rule: "G1",
-                message: format!(
-                    "manifest lists inference entry point `{}` but no such \
-                     function exists here — update lint.toml ([[g1]]) or the code",
-                    entry.function
-                ),
-            }),
-            Some((decl_line, lo, hi)) => {
-                let calls = model.lines[lo..hi]
-                    .iter()
-                    .any(|l| !find_word(&l.code, "no_grad").is_empty());
-                if !calls {
-                    out.push(Violation {
-                        path: path.to_string(),
-                        line: decl_line + 1,
-                        col: 1,
-                        rule: "G1",
-                        message: format!(
-                            "inference entry point `{}` never calls `no_grad`: \
-                             inference must not build autograd tape",
-                            entry.function
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Locate `fn <name>` outside test code and brace-match its body.
-/// Returns `(decl_line_idx, body_start_idx, body_end_idx_exclusive)`.
-fn fn_body_lines(model: &SourceModel, name: &str) -> Option<(usize, usize, usize)> {
-    let decl = model.lines.iter().enumerate().find(|(_, l)| {
-        !l.in_test
-            && find_word(&l.code, name)
-                .iter()
-                .any(|&p| l.code[..p].trim_end().ends_with("fn"))
-    });
-    let (decl_idx, _) = decl?;
-    // Scan forward from the declaration for the opening brace, then match.
-    let mut depth: i64 = 0;
-    let mut opened = false;
-    for (idx, line) in model.lines.iter().enumerate().skip(decl_idx) {
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if opened && depth == 0 {
-            return Some((decl_idx, decl_idx, idx + 1));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn run(src: &str) -> Vec<Violation> {
-        check_file("lib.rs", &lex(src), &Config::default())
+        check_file("lib.rs", &lex(src))
     }
 
     #[test]
@@ -370,26 +267,6 @@ mod tests {
         let v = run(bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "U1");
-    }
-
-    #[test]
-    fn g1_missing_no_grad_flagged() {
-        let cfg =
-            Config::parse("[[g1]]\nfile = \"lib.rs\"\nfunction = \"generate\"\n").expect("cfg");
-        let bad = "pub fn generate(&self) -> Vec<u32> {\n    self.decode()\n}\n";
-        let v = check_file("lib.rs", &lex(bad), &cfg);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "G1");
-        let good = "pub fn generate(&self) -> Vec<u32> {\n    no_grad(|| self.decode())\n}\n";
-        assert!(check_file("lib.rs", &lex(good), &cfg).is_empty());
-    }
-
-    #[test]
-    fn g1_manifest_drift_flagged() {
-        let cfg = Config::parse("[[g1]]\nfile = \"lib.rs\"\nfunction = \"gone\"\n").expect("cfg");
-        let v = check_file("lib.rs", &lex("pub fn other() {}\n"), &cfg);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("no such function"));
     }
 
     #[test]

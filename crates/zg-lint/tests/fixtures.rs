@@ -97,9 +97,10 @@ fn p1_bad_unjustified_panics() {
                pub fn g(x: Option<u32>) -> u32 { x.expect(\"set\") }\n\
                pub fn h() { panic!(\"boom\"); }\n\
                pub fn i() { unreachable!(); }\n\
-               pub fn j() { todo!(); }\n";
+               pub fn j() { todo!(); }\n\
+               pub fn k() { unimplemented!(); }\n";
     let rules = rules_for(src);
-    assert_eq!(rules.len(), 5, "{rules:?}");
+    assert_eq!(rules.len(), 6, "{rules:?}");
     assert!(rules.iter().all(|&r| r == "P1"));
 }
 
@@ -164,32 +165,6 @@ pub fn f(p: *const f32) -> f32 {
     assert!(rules_for(src).is_empty());
 }
 
-// ---------------------------------------------------------------- G1 ---
-
-#[test]
-fn g1_bad_entry_point_without_no_grad() {
-    let cfg =
-        Config::parse("[[g1]]\nfile = \"crates/zg-demo/src/lib.rs\"\nfunction = \"generate\"\n")
-            .expect("valid config");
-    let bad = "pub fn generate(n: usize) -> Vec<u32> {\n    (0..n as u32).collect()\n}\n";
-    let v = scan_source("crates/zg-demo/src/lib.rs", bad, &cfg);
-    assert_eq!(v.len(), 1);
-    assert_eq!(v[0].rule, "G1");
-    let good =
-        "pub fn generate(n: usize) -> Vec<u32> {\n    no_grad(|| (0..n as u32).collect())\n}\n";
-    assert!(scan_source("crates/zg-demo/src/lib.rs", good, &cfg).is_empty());
-}
-
-#[test]
-fn g1_only_checks_the_manifested_file() {
-    let cfg =
-        Config::parse("[[g1]]\nfile = \"crates/zg-demo/src/lm.rs\"\nfunction = \"generate\"\n")
-            .expect("valid config");
-    // Same bad source, different path: G1 does not apply.
-    let bad = "pub fn generate(n: usize) -> Vec<u32> {\n    (0..n as u32).collect()\n}\n";
-    assert!(scan_source("crates/zg-demo/src/other.rs", bad, &cfg).is_empty());
-}
-
 // --------------------------------------------------- test-scope gating ---
 
 #[test]
@@ -246,13 +221,6 @@ fn allowlist_suppresses_by_file_and_prefix() {
     // Allow entry is per-rule: a D2 hit in the allowed path still fires.
     let d2 = "pub fn f() { let _ = std::time::Instant::now(); }\n";
     assert_eq!(scan_source("crates/zg-demo/src/lib.rs", d2, &cfg).len(), 1);
-}
-
-#[test]
-fn allowlist_without_reason_is_a_config_error() {
-    let err = Config::parse("[[allow]]\nrule = \"D1\"\npath = \"crates/x\"\n")
-        .expect_err("reason is mandatory");
-    assert!(err.message.contains("reason"), "{}", err.message);
 }
 
 // ----------------------------------------------------- lexer edge cases ---

@@ -164,7 +164,8 @@ impl CausalLm {
     }
 
     /// Sample a continuation of `prompt`. Greedy when `temperature == 0`.
-    /// Stops at `eos` or after `max_new` tokens. Returns only new tokens.
+    /// Stops at `eos`, after `max_new` tokens, or once the context is full
+    /// (`max_seq_len` tokens fed). Returns only new tokens.
     pub fn generate(
         &self,
         prompt: &[u32],
@@ -188,6 +189,11 @@ impl CausalLm {
                     break;
                 }
                 out.push(next);
+                // A full context ends the decode like EOS does: there is
+                // no cache position left to feed `next` back through.
+                if cache.pos == self.cfg.max_seq_len {
+                    break;
+                }
                 logits = self.step(next, &mut cache);
             }
             out
@@ -441,6 +447,20 @@ mod tests {
         let out = lm.generate(&[1, 2, 3], 8, 0.0, 2, &mut rng);
         assert!(out.len() <= 8);
         assert!(!out.contains(&2), "eos must not appear in output");
+        // An eos the model cannot emit and a budget past the context: the
+        // decode feeds tokens until the context is full, then emits the
+        // token predicted at its last position and stops, instead of
+        // panicking.
+        let max = lm.cfg.max_seq_len;
+        let out = lm.generate(&[1, 2, 3], max + 10, 0.0, u32::MAX, &mut rng);
+        assert_eq!(out.len(), max - 3 + 1);
+        let cfg = crate::SamplingConfig::greedy();
+        let with = lm.generate_with(&[1, 2, 3], max + 10, &cfg, u32::MAX, &mut rng);
+        assert_eq!(
+            with.len(),
+            out.len(),
+            "generate_with stops at the same bound"
+        );
     }
 
     #[test]

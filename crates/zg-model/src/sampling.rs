@@ -129,6 +129,10 @@ impl CausalLm {
                 break;
             }
             out.push(next);
+            // A full context ends the decode, as in `CausalLm::generate`.
+            if cache.pos == self.cfg.max_seq_len {
+                break;
+            }
             logits = self.step(next, &mut cache);
         }
         out

@@ -221,16 +221,22 @@ fn served_scores_bit_identical_on_truncation_fallback() {
     }
 }
 
-/// Generation requests reproduce `generate_answer` byte for byte.
+/// Generation requests reproduce `generate_answer` byte for byte —
+/// including a budget that decodes past the context, which ends at
+/// context capacity rather than panicking the worker.
 #[test]
 fn served_generation_matches_offline_greedy_decode() {
     let mut m = model(256);
     let prompts = [
-        "status of checking account: none, purpose: education",
-        "duration in months: 13",
-        "q",
+        ("status of checking account: none, purpose: education", 8),
+        ("duration in months: 13", 8),
+        ("q", 8),
+        ("credit amount: 2500", 300),
     ];
-    let offline: Vec<String> = prompts.iter().map(|p| m.generate_answer(p, 8)).collect();
+    let offline: Vec<String> = prompts
+        .iter()
+        .map(|&(p, max_new)| m.generate_answer(p, max_new))
+        .collect();
     for workers in [1usize, 3] {
         let engine = ZiGongEngine::new(
             m.spec(),
@@ -241,8 +247,8 @@ fn served_generation_matches_offline_greedy_decode() {
         );
         let clock = ManualClock::new();
         let mut server = Server::new(engine, ServeConfig::default(), clock.clock());
-        for p in &prompts {
-            server.submit(Request::generate(*p, 8)).unwrap();
+        for &(p, max_new) in &prompts {
+            server.submit(Request::generate(p, max_new)).unwrap();
         }
         let done = server.run_until_idle();
         assert_eq!(done.len(), prompts.len());
