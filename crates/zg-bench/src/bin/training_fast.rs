@@ -1,11 +1,12 @@
 //! Training fast-path benchmark: end-to-end `train_sft` throughput of
 //! the current engine (bit-identical op fast paths, tensor buffer
-//! pooling, fused clip+AdamW, reshape-free SFT loss, optional
-//! data-parallel gradient accumulation) against the historical serial
-//! loop (op fast paths and pool disabled, three-pass clip + step,
-//! reshape-copied logits), plus the trainer's phase-timing profile and
-//! the bit-identity checks the fast path guarantees. Writes
-//! `results/training_fast.json`.
+//! pooling, fused clip+AdamW, an SFT loss that runs the blocks only up
+//! to the last supervised position and the LM head only on supervised
+//! rows, optional data-parallel gradient accumulation) against the
+//! historical serial loop (op fast paths and pool disabled, three-pass
+//! clip + step, reshape-copied logits at every position), plus the
+//! trainer's phase-timing profile and the bit-identity checks the fast
+//! path guarantees. Writes `results/training_fast.json`.
 //!
 //! Sections:
 //!
@@ -30,9 +31,10 @@ use zg_zigong::{
     collate, tokenize_all, train_sft_profiled, train_tokenizer, Sample, TrainConfig, TrainOrder,
 };
 
-/// The historical `sft_loss`: reshape the `(batch, time, vocab)` logits
-/// into `(batch*time, vocab)` — a full copy forward and backward — then
-/// cross-entropy. The current loss feeds the rank-3 logits straight in.
+/// The historical `sft_loss`: logits at every position, reshaped from
+/// `(batch, time, vocab)` into `(batch*time, vocab)` — a full copy
+/// forward and backward — then cross-entropy. The current loss computes
+/// logits for the supervised rows only.
 fn sft_loss_legacy(
     lm: &CausalLm,
     tokens: &[u32],
@@ -187,7 +189,7 @@ fn main() {
     );
 
     // --- 2. Fast serial: op fast paths, pool, fused optimizer,
-    // reshape-free loss.
+    // supervised-rows loss.
     let epoch_clock = zg_trace::wall_clock();
     let checked_out_before = pool_stats().checked_out;
     let mut fast_s = f64::INFINITY;
@@ -217,7 +219,7 @@ fn main() {
     );
 
     // Per-step losses must match the legacy loop exactly: the fused
-    // optimizer, the pool, the reshape-free loss, and every op fast
+    // optimizer, the pool, the supervised-rows loss, and every op fast
     // path are all bit-transparent.
     let loss_parity = legacy_losses == fast.losses;
     if !loss_parity {
@@ -308,7 +310,7 @@ fn main() {
         "single-core host: parallel engine degenerates to serial; speedup \
          comes from the bit-identical op fast paths (sliced broadcast \
          kernels, dead-gradient GEMM skip, run-copy permute), pooling, the \
-         fused optimizer, and the reshape-free loss"
+         fused optimizer, and the supervised-rows loss"
     } else {
         "multi-core host"
     };

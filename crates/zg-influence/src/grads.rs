@@ -6,11 +6,12 @@
 //! the adapter subspace — those are the only parameters that move during
 //! SFT, so influence on *training* is exactly influence through them.
 
+use std::collections::BTreeMap;
+
 use zg_model::CausalLm;
 use zg_tensor::TensorStore;
 
 use crate::parallel::{par_map_init, ParallelConfig};
-use crate::sketch::{GradSplit, GradStore};
 use crate::tracin::CheckpointGrads;
 
 /// A tokenized training/test sample: `(input tokens, aligned labels)`,
@@ -80,11 +81,14 @@ pub fn lm_checkpoint_grads(
 /// [`lm_checkpoint_grads`] fanned across `par.workers` threads.
 ///
 /// The autograd `Tensor` is `Rc`-based and not `Send`, so the model
-/// cannot be shared across threads; instead each worker builds its own
+/// cannot be shared across threads; instead each worker builds one
 /// replica via `make_lm` (architecture + tokenizer only — weights are
-/// overwritten) and receives the checkpoint snapshot as serialized ZGT1
-/// bytes. Gradients depend only on (weights, sample), so the result is
-/// **bit-identical** to the serial path for every worker count.
+/// overwritten). The work is a single fan-out over every (checkpoint,
+/// split, sample) item in output order, and a worker loads a
+/// checkpoint's weights, shipped as plain buffers, whenever its next
+/// item's checkpoint differs from the loaded one. Gradients depend only
+/// on (weights, sample), so the result is **bit-identical** to the
+/// serial path for every worker count.
 pub fn lm_checkpoint_grads_with<F>(
     make_lm: F,
     checkpoints: &[LmCheckpoint],
@@ -95,84 +99,47 @@ pub fn lm_checkpoint_grads_with<F>(
 where
     F: Fn() -> CausalLm + Sync,
 {
-    let workers = par.resolved_workers();
-    if workers <= 1 {
-        let lm = make_lm();
-        return lm_checkpoint_grads(&lm, checkpoints, train, test);
-    }
-    let mut out = Vec::with_capacity(checkpoints.len());
-    for ck in checkpoints {
-        let mut blob = Vec::new();
-        ck.store
-            .write_to(&mut blob)
-            // INVARIANT: writing to an in-memory Vec<u8> cannot fail.
-            .expect("serialize checkpoint for worker threads");
-        let blob = &blob;
-        let make_lm = &make_lm;
-        let replica = || {
-            let lm = make_lm();
-            let store = TensorStore::read_from(&mut blob.as_slice())
-                // INVARIANT: `blob` was produced by `write_to` above; the round-trip cannot fail.
-                .expect("deserialize checkpoint in worker");
-            lm.restore(&store);
-            lm
-        };
-        out.push(CheckpointGrads {
-            eta: ck.eta,
-            time: ck.time,
-            train: par_map_init(train, workers, replica, |lm, s| lm_sample_gradient(lm, s)),
-            test: par_map_init(test, workers, replica, |lm, s| lm_sample_gradient(lm, s)),
-        });
-    }
-    out
-}
-
-/// [`lm_checkpoint_grads`] backed by a [`GradStore`]: each
-/// `(checkpoint, sample)` gradient is computed at most once across every
-/// call sharing `store`, so γ-sweeps and repeated selection arms replay
-/// checkpoints for free after the first pass.
-///
-/// Cache keys use `checkpoint.time` — callers must give checkpoints
-/// distinct time indices (they already must for TracSeq decay to make
-/// sense). The model's current weights are restored on return.
-pub fn lm_checkpoint_grads_cached(
-    lm: &CausalLm,
-    checkpoints: &[LmCheckpoint],
-    train: &[TokenizedSample],
-    test: &[TokenizedSample],
-    store: &GradStore,
-) -> Vec<CheckpointGrads> {
-    let current = lm.checkpoint();
-    let mut out = Vec::with_capacity(checkpoints.len());
-    for ck in checkpoints {
-        let mut restored = false;
-        let mut grads_for = |samples: &[TokenizedSample], split: GradSplit| -> Vec<Vec<f32>> {
-            samples
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    store
-                        .get_or_compute((ck.time, i, split), || {
-                            if !restored {
-                                lm.restore(&ck.store);
-                                restored = true;
-                            }
-                            lm_sample_gradient(lm, s)
-                        })
-                        .as_ref()
-                        .clone()
-                })
+    let weights: Vec<BTreeMap<&str, Vec<f32>>> = checkpoints
+        .iter()
+        .map(|ck| {
+            ck.store
+                .names()
+                // INVARIANT: `names` lists only keys the store holds.
+                .map(|name| (name, ck.store.get(name).expect("listed").to_vec()))
                 .collect()
-        };
-        out.push(CheckpointGrads {
+        })
+        .collect();
+    let items: Vec<(usize, &TokenizedSample)> = (0..checkpoints.len())
+        .flat_map(|c| train.iter().chain(test).map(move |s| (c, s)))
+        .collect();
+    let mut grads = par_map_init(
+        &items,
+        par.resolved_workers(),
+        || (make_lm(), None),
+        |(lm, loaded): &mut (CausalLm, Option<usize>), &(c, sample)| {
+            if *loaded != Some(c) {
+                for (name, p) in lm.params() {
+                    let data = weights[c]
+                        .get(name.as_str())
+                        // INVARIANT: a checkpoint missing a model parameter is unrecoverable corruption.
+                        .unwrap_or_else(|| panic!("checkpoint missing parameter {name}"));
+                    p.set_data(data);
+                }
+                *loaded = Some(c);
+            }
+            lm_sample_gradient(lm, sample)
+        },
+    )
+    .into_iter();
+    checkpoints
+        .iter()
+        .map(|ck| CheckpointGrads {
             eta: ck.eta,
             time: ck.time,
-            train: grads_for(train, GradSplit::Train),
-            test: grads_for(test, GradSplit::Test),
-        });
-    }
-    lm.restore(&current);
-    out
+            train: grads.by_ref().take(train.len()).collect(),
+            test: grads.by_ref().take(test.len()).collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -275,68 +242,46 @@ mod tests {
     #[test]
     fn parallel_grads_bit_identical_to_serial() {
         let lm = lora_lm(6);
-        let ck1 = lm.checkpoint();
-        for (name, p) in lm.trainable_params() {
-            if name.ends_with("lora_b") {
-                p.set_data(&vec![0.03; p.numel()]);
-            }
-        }
-        let ck2 = lm.checkpoint();
-        let cks = [
-            LmCheckpoint {
-                store: ck1,
-                eta: 0.1,
-                time: 0,
-            },
-            LmCheckpoint {
-                store: ck2,
-                eta: 0.05,
-                time: 1,
-            },
-        ];
-        let train: Vec<TokenizedSample> = (0..5)
-            .map(|i| (vec![1 + i, 5, 7, 3 + i], vec![5, 7, 3 + i, 2]))
+        let cks: Vec<LmCheckpoint> = [0.0f32, 0.03, -0.02]
+            .iter()
+            .enumerate()
+            .map(|(t, &b)| {
+                for (name, p) in lm.trainable_params() {
+                    if name.ends_with("lora_b") {
+                        p.set_data(&vec![b; p.numel()]);
+                    }
+                }
+                LmCheckpoint {
+                    store: lm.checkpoint(),
+                    eta: 0.1 / (t + 1) as f32,
+                    time: t as u32,
+                }
+            })
+            .collect();
+        let train: Vec<TokenizedSample> = (0..4)
+            .map(|i| (vec![1 + i, 5, 7, 3 + i], vec![0, 7, 3 + i, 2]))
             .collect();
         let test = vec![(vec![2u32, 6, 8], vec![6u32, 8, 2])];
-        let serial = lm_checkpoint_grads(&lm, &cks, &train, &test);
-        for workers in [2usize, 4] {
-            let par = lm_checkpoint_grads_with(
-                || lora_lm(6),
-                &cks,
-                &train,
-                &test,
-                &ParallelConfig::serial().with_workers(workers),
-            );
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.train, b.train, "workers={workers}");
-                assert_eq!(a.test, b.test, "workers={workers}");
+        // 5 items per checkpoint: over 3 checkpoints, 2 and 5 workers cut
+        // a chunk inside a checkpoint; over 2, 3 workers do.
+        for n_ck in [2, 3] {
+            let serial = lm_checkpoint_grads(&lm, &cks[..n_ck], &train, &test);
+            for workers in [1usize, 2, 3, 5] {
+                let par = lm_checkpoint_grads_with(
+                    || lora_lm(6),
+                    &cks[..n_ck],
+                    &train,
+                    &test,
+                    &ParallelConfig::serial().with_workers(workers),
+                );
+                assert_eq!(par.len(), n_ck);
+                for (a, b) in serial.iter().zip(&par) {
+                    assert_eq!((a.eta, a.time), (b.eta, b.time));
+                    assert_eq!(a.train, b.train, "workers={workers}");
+                    assert_eq!(a.test, b.test, "workers={workers}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn cached_grads_match_and_hit_cache() {
-        let lm = lora_lm(7);
-        let cks = [LmCheckpoint {
-            store: lm.checkpoint(),
-            eta: 0.1,
-            time: 0,
-        }];
-        let train = vec![(vec![1u32, 5, 7], vec![5u32, 7, 2])];
-        let test = vec![(vec![2u32, 6, 8], vec![6u32, 8, 2])];
-        let store = GradStore::new();
-        let first = lm_checkpoint_grads_cached(&lm, &cks, &train, &test, &store);
-        assert_eq!(store.len(), 2, "one train + one test gradient cached");
-        assert_eq!(
-            first[0].train,
-            lm_checkpoint_grads(&lm, &cks, &train, &test)[0].train
-        );
-        // Second pass must be served from the cache (same store size) and
-        // agree exactly.
-        let second = lm_checkpoint_grads_cached(&lm, &cks, &train, &test, &store);
-        assert_eq!(store.len(), 2);
-        assert_eq!(first[0].train, second[0].train);
-        assert_eq!(first[0].test, second[0].test);
     }
 
     #[test]

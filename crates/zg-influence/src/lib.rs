@@ -16,7 +16,7 @@
 //!   [`influence_scores_with`]) with bit-identical chunk-ordered
 //!   reduction — serial is the `workers = 1` special case.
 //! - [`sketch`]: seeded random-projection gradient compression
-//!   ([`Sketcher`]) and the concurrent [`GradStore`] gradient cache.
+//!   ([`Sketcher`]).
 
 mod agent;
 mod grads;
@@ -30,11 +30,11 @@ pub use agent::{
     agent_checkpoint_grads, agent_checkpoint_grads_with, AgentCheckpoint, AgentConfig, AgentModel,
 };
 pub use grads::{
-    lm_checkpoint_grads, lm_checkpoint_grads_cached, lm_checkpoint_grads_with, lm_sample_gradient,
-    LmCheckpoint, TokenizedSample,
+    lm_checkpoint_grads, lm_checkpoint_grads_with, lm_sample_gradient, LmCheckpoint,
+    TokenizedSample,
 };
 pub use parallel::{influence_scores_with, par_map, par_map_init, ParallelConfig};
 pub use select::{hybrid_mix, select_bottom_k, select_top_k, MixConfig};
 pub use self_influence::{self_influence_scores, suspect_mislabeled};
-pub use sketch::{GradKey, GradSplit, GradStore, Sketcher, DEFAULT_SKETCH_SEED};
+pub use sketch::{Sketcher, DEFAULT_SKETCH_SEED};
 pub use tracin::{influence_pair, influence_scores, CheckpointGrads, TracConfig};

@@ -126,75 +126,6 @@ impl Sketcher {
     }
 }
 
-/// Which split a cached gradient belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum GradSplit {
-    /// Training-set gradient.
-    Train,
-    /// Test-set gradient.
-    Test,
-}
-
-/// Cache key: `(checkpoint time t_i, sample index, split)`.
-pub type GradKey = (u32, usize, GradSplit);
-
-/// Concurrent cache of per-`(checkpoint, sample)` gradient vectors,
-/// guarded by a [`parking_lot::RwLock`].
-///
-/// LM gradient extraction is the dominant cost of LM-space TracSeq — one
-/// forward+backward per (checkpoint, sample). Sweeps that re-score the
-/// same checkpoints under different `γ` / selection settings (the Figure 2
-/// arms) can share a `GradStore` so each gradient is computed exactly
-/// once. Entries are `Arc`ed, so readers never copy the vectors.
-#[derive(Debug, Default)]
-pub struct GradStore {
-    map: RwLock<BTreeMap<GradKey, Arc<Vec<f32>>>>,
-}
-
-impl GradStore {
-    /// Empty store.
-    pub fn new() -> GradStore {
-        GradStore::default()
-    }
-
-    /// Number of cached gradients.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
-
-    /// Drop all cached gradients.
-    pub fn clear(&self) {
-        self.map.write().clear();
-    }
-
-    /// Look up a cached gradient.
-    pub fn get(&self, key: &GradKey) -> Option<Arc<Vec<f32>>> {
-        self.map.read().get(key).map(Arc::clone)
-    }
-
-    /// Fetch the gradient for `key`, computing and caching it on miss.
-    pub fn get_or_compute(
-        &self,
-        key: GradKey,
-        compute: impl FnOnce() -> Vec<f32>,
-    ) -> Arc<Vec<f32>> {
-        if let Some(g) = self.get(&key) {
-            zg_trace::counter_add("influence.grad_cache_hits", 1.0);
-            return g;
-        }
-        zg_trace::counter_add("influence.grad_cache_misses", 1.0);
-        let g = Arc::new(compute());
-        let mut w = self.map.write();
-        // A racing worker may have inserted meanwhile; keep the first.
-        Arc::clone(w.entry(key).or_insert(g))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,31 +203,5 @@ mod tests {
         assert_eq!(sk[0].train.len(), 2);
         assert_eq!(sk[0].test.len(), 1);
         assert!(sk[0].train.iter().all(|g| g.len() == 8));
-    }
-
-    #[test]
-    fn grad_store_caches_and_counts() {
-        let store = GradStore::new();
-        assert!(store.is_empty());
-        let mut computed = 0;
-        let key = (0u32, 5usize, GradSplit::Train);
-        let a = store.get_or_compute(key, || {
-            computed += 1;
-            vec![1.0, 2.0]
-        });
-        let b = store.get_or_compute(key, || {
-            computed += 1;
-            vec![9.0, 9.0]
-        });
-        assert_eq!(computed, 1, "second fetch must hit the cache");
-        assert_eq!(*a, *b);
-        assert_eq!(store.len(), 1);
-        assert_eq!(
-            store.get(&(0, 5, GradSplit::Test)),
-            None,
-            "split is part of the key"
-        );
-        store.clear();
-        assert!(store.is_empty());
     }
 }

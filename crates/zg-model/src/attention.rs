@@ -2,10 +2,9 @@
 //! causal masking, RoPE, and an incremental KV cache for decoding — the
 //! Mistral attention stack.
 
-use rand::Rng;
 use zg_tensor::Tensor;
 
-use crate::layers::Linear;
+use crate::layers::{Init, Linear};
 use crate::rope::RopeCache;
 
 /// Additive attention mask for `t_q` queries attending over `t_kv` keys,
@@ -105,14 +104,14 @@ impl Attention {
         n_heads: usize,
         n_kv_heads: usize,
         sliding_window: usize,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
     ) -> Self {
         let head_dim = d_model / n_heads;
         Attention {
-            wq: Linear::new(d_model, n_heads * head_dim, rng),
-            wk: Linear::new(d_model, n_kv_heads * head_dim, rng),
-            wv: Linear::new(d_model, n_kv_heads * head_dim, rng),
-            wo: Linear::new(n_heads * head_dim, d_model, rng),
+            wq: Linear::new(d_model, n_heads * head_dim, init),
+            wk: Linear::new(d_model, n_kv_heads * head_dim, init),
+            wv: Linear::new(d_model, n_kv_heads * head_dim, init),
+            wo: Linear::new(n_heads * head_dim, d_model, init),
             n_heads,
             n_kv_heads,
             head_dim,

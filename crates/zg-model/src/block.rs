@@ -1,11 +1,10 @@
 //! A pre-norm transformer block: `x + attn(norm(x))` then `x + mlp(norm(x))`.
 
-use rand::Rng;
 use zg_tensor::Tensor;
 
 use crate::attention::{Attention, LayerKvCache};
 use crate::config::ModelConfig;
-use crate::layers::RmsNorm;
+use crate::layers::{Init, RmsNorm};
 use crate::mlp::SwiGluMlp;
 use crate::rope::RopeCache;
 
@@ -23,7 +22,7 @@ pub struct TransformerBlock {
 
 impl TransformerBlock {
     /// Build a block per `cfg`.
-    pub fn new(cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub fn new(cfg: &ModelConfig, init: &mut impl Init) -> Self {
         TransformerBlock {
             attn_norm: RmsNorm::new(cfg.d_model, cfg.rms_eps),
             attn: Attention::new(
@@ -31,10 +30,10 @@ impl TransformerBlock {
                 cfg.n_heads,
                 cfg.n_kv_heads,
                 cfg.sliding_window,
-                rng,
+                init,
             ),
             mlp_norm: RmsNorm::new(cfg.d_model, cfg.rms_eps),
-            mlp: SwiGluMlp::new(cfg.d_model, cfg.d_ff, rng),
+            mlp: SwiGluMlp::new(cfg.d_model, cfg.d_ff, init),
         }
     }
 

@@ -1,8 +1,45 @@
 //! Basic building blocks: linear projection (with optional LoRA adapter
-//! slot), token embedding, and RMSNorm.
+//! slot), token embedding, and RMSNorm, and the [`Init`] that fills a new
+//! layer's weights.
 
 use rand::Rng;
 use zg_tensor::Tensor;
+
+/// Fills the weights of a newly built layer.
+///
+/// Every RNG is an `Init` that draws the usual random weights. [`ZeroInit`]
+/// leaves them zero, for a model whose every weight is restored right
+/// after it is built, as [`LmSpec::build`](crate::LmSpec::build) does.
+pub trait Init {
+    /// A `(fan_in, fan_out)` projection matrix: Xavier-uniform when random.
+    fn matrix(&mut self, fan_in: usize, fan_out: usize) -> Tensor;
+    /// A `(vocab, d_model)` embedding table: Normal(0, 0.02) when random,
+    /// the usual LM choice.
+    fn embedding(&mut self, vocab: usize, d_model: usize) -> Tensor;
+}
+
+impl<R: Rng> Init for R {
+    fn matrix(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
+        Tensor::xavier_uniform(fan_in, fan_out, self)
+    }
+
+    fn embedding(&mut self, vocab: usize, d_model: usize) -> Tensor {
+        Tensor::randn([vocab, d_model], 0.0, 0.02, self)
+    }
+}
+
+/// The [`Init`] that leaves every weight zero and draws nothing.
+pub struct ZeroInit;
+
+impl Init for ZeroInit {
+    fn matrix(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
+        Tensor::from_vec(vec![0.0; fan_in * fan_out], [fan_in, fan_out])
+    }
+
+    fn embedding(&mut self, vocab: usize, d_model: usize) -> Tensor {
+        Tensor::from_vec(vec![0.0; vocab * d_model], [vocab, d_model])
+    }
+}
 
 /// A LoRA adapter attached to a [`Linear`]: `y += scale · (x·A)·B`.
 ///
@@ -29,9 +66,9 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Xavier-initialized linear layer without bias (transformer default).
-    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
-        let weight = Tensor::xavier_uniform(in_features, out_features, rng);
+    /// Linear layer without bias (transformer default), weight from `init`.
+    pub fn new(in_features: usize, out_features: usize, init: &mut impl Init) -> Self {
+        let weight = init.matrix(in_features, out_features);
         weight.set_requires_grad(true);
         Linear {
             weight,
@@ -41,8 +78,8 @@ impl Linear {
     }
 
     /// Linear layer with a zero-initialized bias.
-    pub fn with_bias(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
-        let mut l = Self::new(in_features, out_features, rng);
+    pub fn with_bias(in_features: usize, out_features: usize, init: &mut impl Init) -> Self {
+        let mut l = Self::new(in_features, out_features, init);
         l.bias = Some(Tensor::param(vec![0.0; out_features], [out_features]));
         l
     }
@@ -92,9 +129,9 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// Normal(0, 0.02) initialization, the usual LM choice.
-    pub fn new(vocab: usize, d_model: usize, rng: &mut impl Rng) -> Self {
-        let weight = Tensor::randn([vocab, d_model], 0.0, 0.02, rng);
+    /// Embedding table from `init`.
+    pub fn new(vocab: usize, d_model: usize, init: &mut impl Init) -> Self {
+        let weight = init.embedding(vocab, d_model);
         weight.set_requires_grad(true);
         Embedding { weight }
     }

@@ -27,7 +27,7 @@ pub use attention::{attn_mask, Attention, LayerKvCache};
 pub use beam::beam_search;
 pub use block::TransformerBlock;
 pub use config::ModelConfig;
-pub use layers::{Adapter, Embedding, Linear, RmsNorm};
+pub use layers::{Adapter, Embedding, Init, Linear, RmsNorm, ZeroInit};
 pub use lm::{log_prob_row, sample_logits, CausalLm, KvCache};
 pub use mlp::SwiGluMlp;
 pub use optim::{clip_grad_norm, AdamW, CosineSchedule};

@@ -9,7 +9,7 @@ use zg_tensor::{no_grad, GraphLeakGuard, Tensor, TensorStore};
 use crate::attention::LayerKvCache;
 use crate::block::TransformerBlock;
 use crate::config::ModelConfig;
-use crate::layers::{Embedding, Linear, RmsNorm};
+use crate::layers::{Embedding, Init, Linear, RmsNorm};
 use crate::rope::RopeCache;
 
 /// Per-layer KV caches for one decoding session.
@@ -57,18 +57,19 @@ pub struct CausalLm {
 }
 
 impl CausalLm {
-    /// Initialize a model from `cfg` with the given RNG.
-    pub fn new(cfg: ModelConfig, rng: &mut impl Rng) -> Self {
+    /// Initialize a model from `cfg`, its weights filled by `init` (an
+    /// RNG draws random weights).
+    pub fn new(cfg: ModelConfig, init: &mut impl Init) -> Self {
         cfg.validate();
         let blocks = (0..cfg.n_layers)
-            .map(|_| TransformerBlock::new(&cfg, rng))
+            .map(|_| TransformerBlock::new(&cfg, init))
             .collect();
         let rope = RopeCache::new(cfg.head_dim(), cfg.max_seq_len, cfg.rope_theta);
         CausalLm {
-            embed: Embedding::new(cfg.vocab_size, cfg.d_model, rng),
+            embed: Embedding::new(cfg.vocab_size, cfg.d_model, init),
             blocks,
             final_norm: RmsNorm::new(cfg.d_model, cfg.rms_eps),
-            lm_head: Linear::new(cfg.d_model, cfg.vocab_size, rng),
+            lm_head: Linear::new(cfg.d_model, cfg.vocab_size, init),
             rope,
             cfg,
         }
@@ -82,6 +83,11 @@ impl CausalLm {
     /// Forward over a `(batch, time)` grid of token ids -> logits
     /// `(batch, time, vocab)`.
     pub fn forward(&self, tokens: &[u32], batch: usize, time: usize) -> Tensor {
+        self.head(&self.hidden(tokens, batch, time))
+    }
+
+    /// The last block's output `(batch, time, d_model)`.
+    fn hidden(&self, tokens: &[u32], batch: usize, time: usize) -> Tensor {
         assert!(
             time <= self.cfg.max_seq_len,
             "sequence length {time} exceeds max {}",
@@ -91,7 +97,13 @@ impl CausalLm {
         for block in &self.blocks {
             h = block.forward(&h, &self.rope, 0, None);
         }
-        self.lm_head.forward(&self.final_norm.forward(&h))
+        h
+    }
+
+    /// Final norm and LM head: hidden rows `(…, d_model)` -> logits
+    /// `(…, vocab)`.
+    fn head(&self, h: &Tensor) -> Tensor {
+        self.lm_head.forward(&self.final_norm.forward(h))
     }
 
     /// Single decoding step through the KV cache (batch 1): returns logits
@@ -134,10 +146,7 @@ impl CausalLm {
                 h = block.forward(&h, &self.rope, cache.pos, Some(layer_cache));
             }
             cache.pos += t;
-            let last = h.narrow(1, t - 1, 1);
-            self.lm_head
-                .forward(&self.final_norm.forward(&last))
-                .to_vec()
+            self.head(&h.narrow(1, t - 1, 1)).to_vec()
         })
     }
 
@@ -146,6 +155,13 @@ impl CausalLm {
     /// `labels[b][t]` is the target for the prediction made at position `t`;
     /// positions whose label equals `ignore` (typically `<pad>` = 0) are
     /// masked from the loss — this is how prompt tokens are excluded in SFT.
+    ///
+    /// Only supervised positions are computed: the blocks run up to the
+    /// batch's last supervised position, which causal attention makes
+    /// exact, and the final norm, LM head and cross-entropy see only the
+    /// supervised rows. The loss and every gradient are bit-identical to
+    /// cross-entropy over the full `(batch, time, vocab)` logits: the
+    /// skipped rows would add only exact zeros to the same sums.
     pub fn sft_loss(
         &self,
         tokens: &[u32],
@@ -155,12 +171,26 @@ impl CausalLm {
         ignore: u32,
     ) -> Tensor {
         assert_eq!(tokens.len(), labels.len());
-        // `cross_entropy_logits` treats the last axis as classes and
-        // collapses the leading ones, so the `(batch, time, vocab)` logits
-        // feed straight in — no `(batch*time, vocab)` reshape copy.
-        let logits = self.forward(tokens, batch, time);
-        let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-        logits.cross_entropy_logits(&targets, Some(ignore as usize))
+        assert_eq!(tokens.len(), batch * time, "tokens must fill (batch, time)");
+        let live = |t: usize| (0..batch).any(|b| labels[b * time + t] != ignore);
+        // A fully masked batch still runs one position: its zero loss
+        // keeps a graph whose backward reaches every parameter.
+        let run = (0..time).rev().find(|&t| live(t)).map_or(1, |t| t + 1);
+        let mut ids = Vec::with_capacity(batch * run);
+        let mut rows = Vec::new();
+        let mut targets = Vec::new();
+        for b in 0..batch {
+            ids.extend_from_slice(&tokens[b * time..b * time + run]);
+            for (t, &l) in labels[b * time..b * time + run].iter().enumerate() {
+                if l != ignore {
+                    rows.push(b * run + t);
+                    targets.push(l as usize);
+                }
+            }
+        }
+        // Every gathered row is supervised, so none needs masking.
+        let h = self.hidden(&ids, batch, run).index_select0(&rows);
+        self.head(&h).cross_entropy_logits(&targets, None)
     }
 
     /// Sample a continuation of `prompt`. Greedy when `temperature == 0`.
@@ -189,9 +219,10 @@ impl CausalLm {
                     break;
                 }
                 out.push(next);
-                // A full context ends the decode like EOS does: there is
-                // no cache position left to feed `next` back through.
-                if cache.pos == self.cfg.max_seq_len {
+                // The budget spent or a full context ends the decode like
+                // EOS does: `next`'s logits would never be sampled, and a
+                // full context has no cache position to feed it through.
+                if out.len() == max_new || cache.pos == self.cfg.max_seq_len {
                     break;
                 }
                 logits = self.step(next, &mut cache);
@@ -461,6 +492,39 @@ mod tests {
             out.len(),
             "generate_with stops at the same bound"
         );
+    }
+
+    #[test]
+    fn decode_spends_no_step_on_the_last_token() {
+        let lm = tiny_lm();
+        let mut rng = StdRng::seed_from_u64(3);
+        // Reference: the decode that also feeds back its last token.
+        let mut cache = lm.new_cache();
+        let mut logits = lm.prefill(&[1, 2, 3], &mut cache);
+        let mut expect = Vec::new();
+        for _ in 0..6 {
+            let next = sample_logits(&logits, 0.0, &mut rng);
+            expect.push(next);
+            logits = lm.step(next, &mut cache);
+        }
+        let tracer = zg_trace::Tracer::with_clock(zg_trace::tick_clock());
+        let steps = |decode: &mut dyn FnMut() -> Vec<u32>| {
+            let before = tracer.totals();
+            let out = {
+                let _g = tracer.install("decode");
+                decode()
+            };
+            let steps = tracer.totals().delta(&before).counter("model.decode_steps");
+            (out, steps)
+        };
+        let (out, n) = steps(&mut || lm.generate(&[1, 2, 3], 6, 0.0, u32::MAX, &mut rng));
+        assert_eq!(out, expect);
+        assert_eq!(n, 5.0, "6 tokens take 5 steps");
+        // `generate_with` steps the prompt in token by token: 3 + 5.
+        let cfg = crate::SamplingConfig::greedy();
+        let (out, n) = steps(&mut || lm.generate_with(&[1, 2, 3], 6, &cfg, u32::MAX, &mut rng));
+        assert_eq!(out, expect);
+        assert_eq!(n, 8.0);
     }
 
     #[test]

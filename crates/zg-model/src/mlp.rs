@@ -1,10 +1,9 @@
 //! SwiGLU feed-forward block: `down( silu(gate(x)) ⊙ up(x) )`, the
 //! Llama/Mistral MLP with SiLU activation (paper Table 3).
 
-use rand::Rng;
 use zg_tensor::Tensor;
 
-use crate::layers::Linear;
+use crate::layers::{Init, Linear};
 
 /// Gated feed-forward network.
 pub struct SwiGluMlp {
@@ -15,11 +14,11 @@ pub struct SwiGluMlp {
 
 impl SwiGluMlp {
     /// Build the three projections.
-    pub fn new(d_model: usize, d_ff: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(d_model: usize, d_ff: usize, init: &mut impl Init) -> Self {
         SwiGluMlp {
-            gate: Linear::new(d_model, d_ff, rng),
-            up: Linear::new(d_model, d_ff, rng),
-            down: Linear::new(d_ff, d_model, rng),
+            gate: Linear::new(d_model, d_ff, init),
+            up: Linear::new(d_model, d_ff, init),
+            down: Linear::new(d_ff, d_model, init),
         }
     }
 

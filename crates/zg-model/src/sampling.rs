@@ -129,8 +129,9 @@ impl CausalLm {
                 break;
             }
             out.push(next);
-            // A full context ends the decode, as in `CausalLm::generate`.
-            if cache.pos == self.cfg.max_seq_len {
+            // The budget spent or a full context ends the decode, as in
+            // `CausalLm::generate`.
+            if out.len() == max_new || cache.pos == self.cfg.max_seq_len {
                 break;
             }
             logits = self.step(next, &mut cache);

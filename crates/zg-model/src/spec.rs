@@ -16,12 +16,10 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use zg_tensor::Tensor;
 
 use crate::config::ModelConfig;
-use crate::layers::Adapter;
+use crate::layers::{Adapter, ZeroInit};
 use crate::lm::CausalLm;
 
 /// Plain-data blueprint of a [`CausalLm`]: configuration, raw `f32` weight
@@ -94,8 +92,8 @@ impl LmSpec {
 
     /// Rebuild an exact replica of the snapshotted model.
     pub fn build(&self) -> CausalLm {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut lm = CausalLm::new(self.cfg.clone(), &mut rng);
+        // Every weight is restored below, so none is drawn at random.
+        let mut lm = CausalLm::new(self.cfg.clone(), &mut ZeroInit);
         // Recreate adapter slots before restoring weights: parameters are
         // matched by name, and `lora_a`/`lora_b` names only exist once the
         // slot does.
@@ -137,7 +135,8 @@ impl LmSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Adapter;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tiny_lm() -> CausalLm {
         let mut rng = StdRng::seed_from_u64(17);

@@ -199,11 +199,14 @@ impl Tensor {
         )
     }
 
-    /// Gather rows of a `(V, D)` matrix by index: the embedding forward.
+    /// Gather rows of a `(…, D)` tensor by index, its leading axes
+    /// flattened into `V` rows: the embedding forward, and the pick of
+    /// supervised positions from a `(batch, time, D)` hidden state.
     /// Output is `(ids.len(), D)`; backward scatter-adds into the rows.
     pub fn index_select0(&self, ids: &[usize]) -> Tensor {
-        assert_eq!(self.rank(), 2, "index_select0 expects (V, D)");
-        let (v, d) = (self.dims()[0], self.dims()[1]);
+        assert!(self.rank() >= 2, "index_select0 expects (…, D)");
+        let d = self.dims()[self.rank() - 1];
+        let v = self.numel() / d.max(1);
         let data = self.data();
         let mut out = crate::pool::take_cleared(ids.len() * d);
         for &id in ids {
@@ -336,6 +339,13 @@ mod tests {
         e.sum().backward();
         // Row 2 selected twice → grad 2; row 0 once; row 1 never.
         assert_eq!(w.grad().unwrap(), vec![1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
+        // Leading axes flatten into rows: (3, 1, 2) gathers as (3, 2).
+        let h = Tensor::param(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 1, 2]);
+        let e = h.index_select0(&[1, 2]);
+        assert_eq!(e.dims(), &[2, 2]);
+        assert_eq!(e.to_vec(), vec![3.0, 4.0, 5.0, 6.0]);
+        e.sum().backward();
+        assert_eq!(h.grad().unwrap(), vec![0.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -234,6 +234,10 @@ impl ZiGongModel {
                 break;
             }
             out.push(next);
+            // The last answer token's logits would never be sampled.
+            if out.len() == ANSWER_TOKENS {
+                break;
+            }
             row = self.lm.step(next, &mut fork);
         }
         let answer = self.tokenizer.decode(&out);
