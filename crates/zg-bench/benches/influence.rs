@@ -1,6 +1,6 @@
 //! Influence-machinery benchmarks: TracSeq scoring throughput through
-//! the parallel engine (serial / multi-worker / sketched), the agent
-//! pipeline, and LM per-sample gradient extraction.
+//! the parallel engine (serial / multi-worker), the agent pipeline, and
+//! LM per-sample gradient extraction.
 //!
 //! Unlike the other benches this one has a custom `main`: after the
 //! timed runs it derives speedup ratios and writes them (with the
@@ -13,14 +13,11 @@ use rand::{Rng, SeedableRng};
 use serde_json::json;
 use zg_data::{behavior_sequences, BehaviorConfig};
 use zg_influence::{
-    influence_scores_with, lm_sample_gradient, CheckpointGrads, ParallelConfig, Sketcher,
-    TracConfig, DEFAULT_SKETCH_SEED,
+    influence_scores_with, lm_sample_gradient, CheckpointGrads, ParallelConfig, TracConfig,
 };
 use zg_lora::{attach, LoraConfig};
 use zg_model::{CausalLm, ModelConfig};
 use zg_zigong::{agent_tracseq_scores_with, behavior_samples, split_behavior_by_user};
-
-const SKETCH_DIM: usize = 256;
 
 /// Seeded synthetic gradients sized like a LoRA-subspace problem:
 /// 3 checkpoints × (600 train + 40 test) × p=4096.
@@ -61,24 +58,6 @@ fn bench_scoring_engine(c: &mut Criterion) {
     c.bench_function("influence_exact_workers8", |b| {
         let par = ParallelConfig::serial().with_workers(8);
         b.iter(|| black_box(influence_scores_with(&cks, &cfg, None, &par)))
-    });
-    c.bench_function("influence_sketch256_inclusive", |b| {
-        // Projection + scoring, both inside the timed region.
-        let par = ParallelConfig::serial().with_sketch(SKETCH_DIM);
-        b.iter(|| black_box(influence_scores_with(&cks, &cfg, None, &par)))
-    });
-    c.bench_function("influence_sketch256_presketched", |b| {
-        // The γ-sweep regime: gradients are projected once, then scored
-        // many times (each sweep arm re-scores with a different decay).
-        let sketched = Sketcher::new(SKETCH_DIM, DEFAULT_SKETCH_SEED).sketch_checkpoints(&cks);
-        b.iter(|| {
-            black_box(influence_scores_with(
-                &sketched,
-                &cfg,
-                None,
-                &ParallelConfig::serial(),
-            ))
-        })
     });
 }
 
@@ -186,13 +165,9 @@ fn write_results(criterion: &Criterion) {
     let out = json!({
         "bench": "influence_parallel",
         "available_parallelism": available as f64,
-        "sketch_dim": SKETCH_DIM as f64,
         "note": "speedups are measured wall-clock on this machine; thread \
-                 speedup is bounded by available_parallelism, sketch speedup \
-                 is algorithmic (p -> sketch_dim per dot)",
+                 speedup is bounded by available_parallelism",
         "speedup_exact_workers8_vs_serial": speedup_over_serial("influence_exact_workers8"),
-        "speedup_sketch_inclusive_vs_serial": speedup_over_serial("influence_sketch256_inclusive"),
-        "speedup_sketch_presketched_vs_serial": speedup_over_serial("influence_sketch256_presketched"),
         "rows": rows,
     });
     // cargo runs benches with the package dir as CWD; anchor the artifact

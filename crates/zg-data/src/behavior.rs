@@ -119,14 +119,6 @@ pub fn behavior_sequences(cfg: &BehaviorConfig, seed: u64) -> Dataset {
     }
 }
 
-/// Records of the final ("current") period only — the test-time view.
-pub fn current_period(ds: &Dataset, periods: usize) -> Vec<&Record> {
-    ds.records
-        .iter()
-        .filter(|r| r.time == Some((periods - 1) as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,19 +224,6 @@ mod tests {
             cov / (vx.sqrt() * vy.sqrt())
         };
         assert!((corr_at(0) - corr_at(4)).abs() < 0.08);
-    }
-
-    #[test]
-    fn current_period_selector() {
-        let cfg = BehaviorConfig {
-            n_users: 10,
-            periods: 3,
-            ..Default::default()
-        };
-        let ds = behavior_sequences(&cfg, 6);
-        let cur = current_period(&ds, 3);
-        assert_eq!(cur.len(), 10);
-        assert!(cur.iter().all(|r| r.time == Some(2)));
     }
 
     #[test]

@@ -22,19 +22,17 @@ mod behavior;
 mod calm;
 mod distress;
 mod income;
-mod io;
 mod record;
 mod sentiment;
 mod synth;
 
 pub use auditing::{auditing_dataset, APPROVAL_LIMIT};
-pub use behavior::{behavior_sequences, current_period, BehaviorConfig};
+pub use behavior::{behavior_sequences, BehaviorConfig};
 pub use calm::{
     all_datasets, australia, ccfraud, credit_card_fraud, default_sizes, german, travel_insurance,
 };
 pub use distress::{polish_distress, DEFAULT_SIZE as DISTRESS_DEFAULT_SIZE};
 pub use income::{income_dataset, IncomeBucket, IncomeRecord};
-pub use io::{dataset_stats, read_jsonl, write_jsonl, DatasetStats, FeatureStats};
 pub use record::{Dataset, FeatureValue, Record, TaskKind};
 pub use sentiment::{sentiment_dataset, Sentiment, SentimentExample};
 pub use synth::{FeatureSpec, SynthSpec};

@@ -27,16 +27,6 @@ impl Sentiment {
         }
     }
 
-    /// Parse an answer string (case-insensitive, trimmed).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "good" => Some(Sentiment::Good),
-            "neutral" => Some(Sentiment::Neutral),
-            "bad" => Some(Sentiment::Bad),
-            _ => None,
-        }
-    }
-
     /// All labels.
     pub const ALL: [Sentiment; 3] = [Sentiment::Good, Sentiment::Neutral, Sentiment::Bad];
 }
@@ -126,16 +116,6 @@ mod tests {
         for lab in Sentiment::ALL {
             assert_eq!(ds.iter().filter(|e| e.label == lab).count(), 100);
         }
-    }
-
-    #[test]
-    fn parse_roundtrip_and_rejects_noise() {
-        for lab in Sentiment::ALL {
-            assert_eq!(Sentiment::parse(lab.text()), Some(lab));
-            assert_eq!(Sentiment::parse(&lab.text().to_uppercase()), Some(lab));
-        }
-        assert_eq!(Sentiment::parse("excellent"), None);
-        assert_eq!(Sentiment::parse(""), None);
     }
 
     #[test]

@@ -27,30 +27,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Build from parallel prediction/label slices.
-    pub fn from_slices(predicted: &[bool], actual: &[bool]) -> Self {
-        assert_eq!(predicted.len(), actual.len());
-        let mut cm = ConfusionMatrix::default();
-        for (&p, &a) in predicted.iter().zip(actual) {
-            cm.record(p, a);
-        }
-        cm
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> usize {
-        self.tp + self.fp + self.tn + self.fn_
-    }
-
-    /// Accuracy; 0 when empty.
-    pub fn accuracy(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            return 0.0;
-        }
-        (self.tp + self.tn) as f64 / n as f64
-    }
-
     /// Precision of the positive class; 0 when undefined.
     pub fn precision(&self) -> f64 {
         if self.tp + self.fp == 0 {
@@ -76,55 +52,31 @@ impl ConfusionMatrix {
         }
         2.0 * p * r / (p + r)
     }
-
-    /// Macro-F1: mean of the F1 of each class (positive and negative).
-    pub fn macro_f1(&self) -> f64 {
-        let f1_pos = self.f1();
-        // F1 of the negative class: swap roles.
-        let neg = ConfusionMatrix {
-            tp: self.tn,
-            fp: self.fn_,
-            tn: self.tp,
-            fn_: self.fp,
-        };
-        (f1_pos + neg.f1()) / 2.0
-    }
-
-    /// Matthews correlation coefficient; 0 when undefined.
-    pub fn mcc(&self) -> f64 {
-        let (tp, fp, tn, fn_) = (
-            self.tp as f64,
-            self.fp as f64,
-            self.tn as f64,
-            self.fn_ as f64,
-        );
-        let denom = ((tp + fp) * (tp + fn_) * (tn + fp) * (tn + fn_)).sqrt();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (tp * tn - fp * fn_) / denom
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn recorded(predicted: &[bool], actual: &[bool]) -> ConfusionMatrix {
+        let mut cm = ConfusionMatrix::default();
+        for (&p, &a) in predicted.iter().zip(actual) {
+            cm.record(p, a);
+        }
+        cm
+    }
+
     #[test]
     fn perfect_classifier() {
-        let cm = ConfusionMatrix::from_slices(&[true, false, true], &[true, false, true]);
-        assert_eq!(cm.accuracy(), 1.0);
+        let cm = recorded(&[true, false, true], &[true, false, true]);
+        assert_eq!((cm.tp, cm.fp, cm.tn, cm.fn_), (2, 0, 1, 0));
         assert_eq!(cm.f1(), 1.0);
-        assert_eq!(cm.mcc(), 1.0);
-        assert_eq!(cm.macro_f1(), 1.0);
     }
 
     #[test]
     fn inverted_classifier() {
-        let cm = ConfusionMatrix::from_slices(&[false, true], &[true, false]);
-        assert_eq!(cm.accuracy(), 0.0);
+        let cm = recorded(&[false, true], &[true, false]);
         assert_eq!(cm.f1(), 0.0);
-        assert_eq!(cm.mcc(), -1.0);
     }
 
     #[test]
@@ -136,7 +88,6 @@ mod tests {
             tn: 4,
             fn_: 2,
         };
-        assert!((cm.accuracy() - 0.7).abs() < 1e-12);
         assert!((cm.precision() - 0.75).abs() < 1e-12);
         assert!((cm.recall() - 0.6).abs() < 1e-12);
         let f1 = 2.0 * 0.75 * 0.6 / 1.35;
@@ -146,14 +97,10 @@ mod tests {
     #[test]
     fn degenerate_cases_do_not_nan() {
         let cm = ConfusionMatrix::default();
-        assert_eq!(cm.accuracy(), 0.0);
         assert_eq!(cm.f1(), 0.0);
-        assert_eq!(cm.mcc(), 0.0);
         // All-negative predictions on all-negative labels.
-        let cm = ConfusionMatrix::from_slices(&[false; 5], &[false; 5]);
-        assert_eq!(cm.accuracy(), 1.0);
+        let cm = recorded(&[false; 5], &[false; 5]);
         assert_eq!(cm.f1(), 0.0); // no positives to find
-        assert!(cm.macro_f1() > 0.0);
     }
 
     #[test]
@@ -161,8 +108,8 @@ mod tests {
         // 95 negatives, 5 positives; always predict negative.
         let labels: Vec<bool> = (0..100).map(|i| i < 5).collect();
         let preds = vec![false; 100];
-        let cm = ConfusionMatrix::from_slices(&preds, &labels);
-        assert!((cm.accuracy() - 0.95).abs() < 1e-12);
+        let cm = recorded(&preds, &labels);
+        assert_eq!(cm.tn, 95);
         assert_eq!(cm.f1(), 0.0, "F1 exposes the trivial classifier");
     }
 }

@@ -82,25 +82,6 @@ pub fn precision_at_k(scores: &[f64], labels: &[bool], k: usize) -> f64 {
     idx[..k].iter().filter(|&&i| labels[i]).count() as f64 / k as f64
 }
 
-/// Recall of the positive class among the top-`k` scores.
-pub fn recall_at_k(scores: &[f64], labels: &[bool], k: usize) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    let total_pos = labels.iter().filter(|&&l| l).count();
-    if total_pos == 0 {
-        return 0.0;
-    }
-    let k = k.min(scores.len());
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            // INVARIANT: NaN scores are a caller bug; fail loudly rather than mis-rank.
-            .expect("finite scores")
-            .then(a.cmp(&b))
-    });
-    idx[..k].iter().filter(|&&i| labels[i]).count() as f64 / total_pos as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,20 +125,17 @@ mod tests {
     }
 
     #[test]
-    fn precision_and_recall_at_k() {
+    fn precision_at_top_k() {
         let scores = vec![0.9, 0.8, 0.7, 0.2, 0.1];
         let labels = vec![true, false, true, false, true];
         assert!((precision_at_k(&scores, &labels, 2) - 0.5).abs() < 1e-12);
         assert!((precision_at_k(&scores, &labels, 3) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((recall_at_k(&scores, &labels, 3) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(recall_at_k(&scores, &labels, 5), 1.0);
     }
 
     #[test]
     fn degenerate_no_positives() {
         let scores = vec![0.5, 0.4];
         let labels = vec![false, false];
-        assert_eq!(recall_at_k(&scores, &labels, 1), 0.0);
         let table = gains_table(&scores, &labels, 2);
         assert_eq!(table[1].cumulative_capture, 0.0);
     }

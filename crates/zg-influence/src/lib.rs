@@ -15,15 +15,11 @@
 //! - [`parallel`]: the multi-threaded scoring engine ([`ParallelConfig`],
 //!   [`influence_scores_with`]) with bit-identical chunk-ordered
 //!   reduction — serial is the `workers = 1` special case.
-//! - [`sketch`]: seeded random-projection gradient compression
-//!   ([`Sketcher`]).
 
 mod agent;
 mod grads;
 pub mod parallel;
 mod select;
-mod self_influence;
-pub mod sketch;
 mod tracin;
 
 pub use agent::{
@@ -35,6 +31,4 @@ pub use grads::{
 };
 pub use parallel::{influence_scores_with, par_map, par_map_init, ParallelConfig};
 pub use select::{hybrid_mix, select_bottom_k, select_top_k, MixConfig};
-pub use self_influence::{self_influence_scores, suspect_mislabeled};
-pub use sketch::{Sketcher, DEFAULT_SKETCH_SEED};
-pub use tracin::{influence_pair, influence_scores, CheckpointGrads, TracConfig};
+pub use tracin::{influence_scores, CheckpointGrads, TracConfig};

@@ -14,32 +14,20 @@
 //! 2. **Scoped threads, no 'static.** Workers borrow the checkpoint
 //!    gradients and sample slices directly via [`crossbeam::thread::scope`];
 //!    nothing is cloned to satisfy lifetimes.
-//! 3. **Optional sketching.** [`ParallelConfig::sketch_dim`] routes
-//!    scoring through [`Sketcher`](crate::Sketcher) compression first —
-//!    the orthogonal, algorithmic speedup for when gradients are long
-//!    (LoRA subspace) and cores are few.
 
 use serde::{Deserialize, Serialize};
 
-use crate::sketch::{Sketcher, DEFAULT_SKETCH_SEED};
 use crate::tracin::{self, CheckpointGrads, TracConfig};
 
 /// Knobs for the parallel influence engine.
 ///
-/// `workers = 1, sketch_dim = None` is exact serial scoring; every other
-/// setting of `workers` changes wall-clock only, never the scores.
+/// `workers = 1` is serial scoring; every other setting of `workers`
+/// changes wall-clock only, never the scores.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ParallelConfig {
     /// Worker threads for gradient fan-out and scoring. `0` means "use
     /// [`std::thread::available_parallelism`]".
     pub workers: usize,
-    /// Project gradients to this dimension before scoring (`None` =
-    /// exact). Changes scores approximately but preserves top-K ranking;
-    /// see [`crate::Sketcher`].
-    pub sketch_dim: Option<usize>,
-    /// Seed for the sketch projection (ignored when `sketch_dim` is
-    /// `None`).
-    pub sketch_seed: u64,
 }
 
 impl Default for ParallelConfig {
@@ -49,42 +37,19 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Exact serial scoring — the reference configuration.
+    /// Serial scoring — the reference configuration.
     pub fn serial() -> ParallelConfig {
-        ParallelConfig {
-            workers: 1,
-            sketch_dim: None,
-            sketch_seed: DEFAULT_SKETCH_SEED,
-        }
+        ParallelConfig { workers: 1 }
     }
 
-    /// Exact scoring on all available cores.
+    /// Scoring on all available cores.
     pub fn auto() -> ParallelConfig {
-        ParallelConfig {
-            workers: 0,
-            ..ParallelConfig::serial()
-        }
+        ParallelConfig { workers: 0 }
     }
 
     /// Same config with an explicit worker count.
     pub fn with_workers(self, workers: usize) -> ParallelConfig {
-        ParallelConfig { workers, ..self }
-    }
-
-    /// Same config with sketched scoring at `dim` (default seed).
-    pub fn with_sketch(self, dim: usize) -> ParallelConfig {
-        ParallelConfig {
-            sketch_dim: Some(dim),
-            ..self
-        }
-    }
-
-    /// Same config with an explicit sketch seed.
-    pub fn with_sketch_seed(self, seed: u64) -> ParallelConfig {
-        ParallelConfig {
-            sketch_seed: seed,
-            ..self
-        }
+        ParallelConfig { workers }
     }
 
     /// The concrete worker count: `workers`, or the machine's available
@@ -97,12 +62,6 @@ impl ParallelConfig {
         } else {
             self.workers
         }
-    }
-
-    /// The sketcher implied by this config, if sketching is enabled.
-    pub fn sketcher(&self) -> Option<Sketcher> {
-        self.sketch_dim
-            .map(|dim| Sketcher::new(dim, self.sketch_seed))
     }
 }
 
@@ -185,13 +144,8 @@ where
 }
 
 /// [`influence_scores`](crate::influence_scores) through the parallel
-/// engine: optional sketch compression, then per-sample scoring fanned
-/// across `par.workers` threads.
-///
-/// With `sketch_dim = None` the result is **bit-identical** to serial
-/// scoring for every worker count. With sketching the scores are the
-/// exact serial scores *of the sketched gradients* — still deterministic
-/// per `(sketch_dim, sketch_seed)`, still worker-count independent.
+/// engine: per-sample scoring fanned across `par.workers` threads,
+/// **bit-identical** to serial scoring for every worker count.
 pub fn influence_scores_with(
     checkpoints: &[CheckpointGrads],
     cfg: &TracConfig,
@@ -224,30 +178,19 @@ pub fn influence_scores_with(
         assert_eq!(times.len(), n_train, "sample_times length mismatch");
     }
 
-    // Optional compression into the sketch space; scoring below is
-    // oblivious to which space it runs in.
-    let sketched;
-    let cks: &[CheckpointGrads] = match par.sketcher() {
-        Some(sk) => {
-            sketched = sk.sketch_checkpoints(checkpoints);
-            &sketched
-        }
-        None => checkpoints,
-    };
-
     // Per-checkpoint pieces that are shared by every sample: the combined
     // decay·η weight and the mean test gradient (Σ_test ⟨g, g'⟩ / n =
     // ⟨g, mean g'⟩ — turns n_train × n_test dots into n_train dots).
-    let weights: Vec<f32> = cks
+    let weights: Vec<f32> = checkpoints
         .iter()
         .map(|ck| tracin::checkpoint_weight(cfg, ck.time) * ck.eta)
         .collect();
-    let means: Vec<Vec<f32>> = cks.iter().map(tracin::mean_test_gradient).collect();
+    let means: Vec<Vec<f32>> = checkpoints.iter().map(tracin::mean_test_gradient).collect();
 
     let idx: Vec<usize> = (0..n_train).collect();
     let mut scores = par_map(&idx, par.resolved_workers(), |&z| {
         let mut acc = 0.0f32;
-        for (ck, (&w, mean)) in cks.iter().zip(weights.iter().zip(&means)) {
+        for (ck, (&w, mean)) in checkpoints.iter().zip(weights.iter().zip(&means)) {
             acc += w * tracin::dot(&ck.train[z], mean);
         }
         acc
@@ -354,18 +297,6 @@ mod tests {
             );
             assert_eq!(serial, par, "workers={workers} must be bit-identical");
         }
-    }
-
-    #[test]
-    fn sketched_scores_deterministic_and_worker_independent() {
-        let cks = random_grads(13, 2, 31, 5, 64);
-        let cfg = TracConfig::tracin();
-        let base = ParallelConfig::serial().with_sketch(16);
-        let a = influence_scores_with(&cks, &cfg, None, &base);
-        let b = influence_scores_with(&cks, &cfg, None, &base.with_workers(4));
-        assert_eq!(a, b, "sketching must not depend on worker count");
-        let c = influence_scores_with(&cks, &cfg, None, &base.with_sketch_seed(99));
-        assert_ne!(a, c, "different sketch seeds project differently");
     }
 
     #[test]

@@ -117,26 +117,6 @@ pub(crate) fn mean_test_gradient(ck: &CheckpointGrads) -> Vec<f32> {
     mean
 }
 
-/// Influence of training sample `train_idx` on test sample `test_idx`
-/// (Eq. 1 for a single pair).
-pub fn influence_pair(
-    checkpoints: &[CheckpointGrads],
-    cfg: &TracConfig,
-    train_idx: usize,
-    test_idx: usize,
-) -> f32 {
-    cfg.validate();
-    let mut total = 0.0f32;
-    for ck in checkpoints {
-        ck.validate();
-        let decay = cfg
-            .gamma
-            .powi(cfg.current_time.saturating_sub(ck.time) as i32);
-        total += decay * ck.eta * dot(&ck.train[train_idx], &ck.test[test_idx]);
-    }
-    total
-}
-
 /// Per-training-sample influence scores, averaged over the test set
 /// (the selection criterion behind Eq. 2).
 ///
@@ -181,9 +161,9 @@ mod tests {
             vec![vec![1.0, 2.0], vec![0.0, 1.0]],
             vec![vec![3.0, 4.0]],
         )];
-        let cfg = TracConfig::tracin();
-        assert!((influence_pair(&cks, &cfg, 0, 0) - 0.1 * 11.0).abs() < 1e-6);
-        assert!((influence_pair(&cks, &cfg, 1, 0) - 0.1 * 4.0).abs() < 1e-6);
+        let scores = influence_scores(&cks, &TracConfig::tracin(), None);
+        assert!((scores[0] - 0.1 * 11.0).abs() < 1e-6);
+        assert!((scores[1] - 0.1 * 4.0).abs() < 1e-6);
     }
 
     #[test]
@@ -199,8 +179,8 @@ mod tests {
         };
         let plain = TracConfig::tracin();
         assert_eq!(
-            influence_pair(&cks, &seq, 0, 0),
-            influence_pair(&cks, &plain, 0, 0)
+            influence_scores(&cks, &seq, None),
+            influence_scores(&cks, &plain, None)
         );
     }
 
@@ -215,7 +195,7 @@ mod tests {
             current_time: 10,
             decay_samples: false,
         };
-        let v = influence_pair(&cks, &cfg, 0, 0);
+        let v = influence_scores(&cks, &cfg, None)[0];
         // old contributes 0.5^10 * 0.1, current contributes 0.1.
         let expect = 0.1 * (1.0 + 0.5f32.powi(10));
         assert!((v - expect).abs() < 1e-7);
@@ -246,10 +226,18 @@ mod tests {
             current_time: 4,
             decay_samples: false,
         };
+        // Eq. 1 for one (train, test) pair, straight from its definition.
+        let pair = |z: usize, t: usize| -> f32 {
+            cks.iter()
+                .map(|ck| {
+                    let decay = cfg.gamma.powi((cfg.current_time - ck.time) as i32);
+                    decay * ck.eta * dot(&ck.train[z], &ck.test[t])
+                })
+                .sum()
+        };
         let scores = influence_scores(&cks, &cfg, None);
         for (z, &score) in scores.iter().enumerate() {
-            let mean_pair =
-                (influence_pair(&cks, &cfg, z, 0) + influence_pair(&cks, &cfg, z, 1)) / 2.0;
+            let mean_pair = (pair(z, 0) + pair(z, 1)) / 2.0;
             assert!((score - mean_pair).abs() < 1e-6);
         }
     }
@@ -287,7 +275,7 @@ mod tests {
             current_time: 0,
             decay_samples: false,
         };
-        influence_pair(&[], &cfg, 0, 0);
+        influence_scores(&[], &cfg, None);
     }
 
     #[test]

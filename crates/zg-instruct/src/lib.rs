@@ -10,6 +10,6 @@ mod template;
 
 pub use parse::{parse_answer, parse_binary};
 pub use template::{
-    question_for, render_classification, render_dataset, render_income, render_sentiment,
-    InstructExample, TemplateKind,
+    question_for, render_classification, render_income, render_sentiment, InstructExample,
+    TemplateKind,
 };

@@ -97,14 +97,6 @@ pub fn render_classification(ds: &Dataset, record: &Record) -> InstructExample {
     }
 }
 
-/// Render every record of a dataset.
-pub fn render_dataset(ds: &Dataset) -> Vec<InstructExample> {
-    ds.records
-        .iter()
-        .map(|r| render_classification(ds, r))
-        .collect()
-}
-
 /// Render the sentiment template (Table 1 first row).
 pub fn render_sentiment(ex: &SentimentExample, id: usize) -> InstructExample {
     InstructExample {
@@ -164,15 +156,6 @@ mod tests {
         let ds = german(5, 2);
         let ex = render_classification(&ds, &ds.records[1]);
         assert!(ex.full_text().ends_with(&format!("Answer: {}", ex.answer)));
-    }
-
-    #[test]
-    fn render_dataset_covers_all() {
-        let ds = german(25, 3);
-        let exs = render_dataset(&ds);
-        assert_eq!(exs.len(), 25);
-        assert!(exs.iter().any(|e| e.answer == "bad"));
-        assert!(exs.iter().any(|e| e.answer == "good"));
     }
 
     #[test]

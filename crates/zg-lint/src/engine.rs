@@ -30,8 +30,10 @@ const SKIP_DIRS: [&str; 3] = ["target", "vendor", "fixtures"];
 /// and examples get the same rule relaxation as `#[cfg(test)]` code.
 const TEST_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
-/// Roots scanned relative to the workspace root.
-const SCAN_ROOTS: [&str; 2] = ["crates", "src"];
+/// Roots scanned relative to the workspace root. `perfbench/src` is the
+/// benchmark, a separate Cargo workspace: it is scanned in test scope,
+/// so only R5 reads it, as roots.
+const SCAN_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "perfbench/src"];
 
 /// Outcome of a full workspace scan.
 #[derive(Debug, Default)]
@@ -58,9 +60,10 @@ impl std::fmt::Display for ScanError {
     }
 }
 
-/// Does this workspace-relative path live in a test-scope directory?
+/// Does this workspace-relative path live in a test-scope directory (or
+/// in perfbench)?
 pub fn is_test_path(path: &str) -> bool {
-    path.split('/').any(|seg| TEST_DIRS.contains(&seg))
+    path.starts_with("perfbench/") || path.split('/').any(|seg| TEST_DIRS.contains(&seg))
 }
 
 /// Walk the workspace at `root` and run the full two-phase pipeline.

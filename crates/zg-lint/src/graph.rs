@@ -21,14 +21,18 @@
 //!   `Option`, ...) links nothing; an unresolvable chain links every
 //!   method with that name (the trait-call over-approximation).
 //! * `func(..)` — free fns named `func`; unknown names are external.
+//! * a fn named as a value resolves like a call, and is dropped when it
+//!   names no workspace fn. A path (`Hist::default_edges`) is exact; a
+//!   bare name (`.map(helper)`) may be a local, so it is a loose edge.
 //!
-//! Test-scope functions are excluded from the graph entirely: they are
-//! neither nodes nor resolution candidates, so a test helper sharing a
-//! hot-path method name cannot bend reachability.
+//! Test-scope functions are not nodes and never resolution candidates,
+//! so a test helper sharing a hot-path method name cannot bend
+//! reachability. Their calls, and calls outside any fn body, are kept
+//! as [`Use`]s: the roots of R5.
 
 use std::collections::BTreeMap;
 
-use crate::model::{CallKind, FileModel, FnItem};
+use crate::model::{CallKind, CallSite, FileModel, FnItem};
 
 /// Method names that collide with std primitive / iterator / slice
 /// methods (`f64::clamp`, `Iterator::sum`, `[T]::len`, ...). An
@@ -96,6 +100,18 @@ impl Node {
     }
 }
 
+/// Workspace fns named by code that is not a node: a test-scope fn, or
+/// the calls of one file made outside any fn body.
+#[derive(Debug, Clone)]
+pub struct Use {
+    /// Workspace-relative path of the using code.
+    pub path: String,
+    /// The using code sits in test scope.
+    pub in_test: bool,
+    /// Every node it names, loose targets included; sorted.
+    pub targets: Vec<usize>,
+}
+
 /// The linked workspace call graph.
 #[derive(Debug, Default)]
 pub struct CallGraph {
@@ -105,6 +121,14 @@ pub struct CallGraph {
     pub edges: Vec<Vec<usize>>,
     /// Reverse adjacency (caller ids per node).
     pub redges: Vec<Vec<usize>>,
+    /// Per node, the targets of its ambiguous uses: a method call on an
+    /// unresolvable receiver whose name collides with a std method, and
+    /// a bare identifier that names a free fn but may be a local. Only
+    /// R5 follows them: liveness must not miss a use, while R1 and R2
+    /// would drown in false paths.
+    pub loose_edges: Vec<Vec<usize>>,
+    /// Uses from test-scope fns and item-level calls, sorted by path.
+    pub uses: Vec<Use>,
     /// Call sites that resolved to at least one workspace function.
     pub resolved_calls: usize,
     /// Call sites treated as external (no workspace target).
@@ -128,88 +152,36 @@ impl CallGraph {
         }
         nodes.sort_by(|a, b| (&a.path, a.item.line).cmp(&(&b.path, b.item.line)));
 
-        // Resolution indexes. All BTreeMaps: iteration order (and hence
-        // edge order) is deterministic.
-        let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        // `Type::method` keys are owned so lookups can be built from
-        // locally-resolved receiver types.
-        let mut typed: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut known_types: BTreeMap<&str, ()> = BTreeMap::new();
-        for (id, n) in nodes.iter().enumerate() {
-            match &n.item.impl_type {
-                Some(t) => {
-                    methods.entry(&n.item.name).or_default().push(id);
-                    typed
-                        .entry(format!("{t}::{}", n.item.name))
-                        .or_default()
-                        .push(id);
-                    known_types.insert(t, ());
-                }
-                None => free.entry(&n.item.name).or_default().push(id),
-            }
-        }
-        let mut fields: BTreeMap<&str, BTreeMap<&str, &str>> = BTreeMap::new();
-        for f in files {
-            for s in &f.structs {
-                let entry = fields.entry(&s.name).or_default();
-                for (field, ty) in &s.fields {
-                    entry.insert(field, ty);
-                }
-                known_types.insert(&s.name, ());
-            }
-        }
-
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        let index = Index::build(&nodes, files);
+        let mut edges: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
+        let mut loose_edges: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
         let mut resolved_calls = 0usize;
         let mut external_calls = 0usize;
-        for id in 0..nodes.len() {
-            let mut targets: Vec<usize> = Vec::new();
-            for call in &nodes[id].item.calls {
-                let resolved: &[usize] = match &call.kind {
-                    CallKind::Free(name) => free.get(name.as_str()).map_or(&[], Vec::as_slice),
-                    CallKind::Path { qualifier, name } => {
-                        let q = if qualifier == "Self" {
-                            nodes[id].item.impl_type.as_deref().unwrap_or("Self")
-                        } else {
-                            qualifier.as_str()
-                        };
-                        if q.starts_with(|c: char| c.is_ascii_uppercase()) {
-                            typed
-                                .get(&format!("{q}::{name}"))
-                                .map_or(&[], Vec::as_slice)
-                        } else {
-                            // Module-qualified free call.
-                            free.get(name.as_str()).map_or(&[], Vec::as_slice)
-                        }
-                    }
-                    CallKind::Method { name, chain } => {
-                        match resolve_chain(&nodes[id].item, chain, &fields) {
-                            Some(ty) if EXTERNAL_TYPES.contains(&ty.as_str()) => &[],
-                            Some(ty) if known_types.contains_key(ty.as_str()) => typed
-                                .get(&format!("{ty}::{name}"))
-                                .map_or(&[], Vec::as_slice),
-                            // Unknown receiver type: the conservative
-                            // over-approximation — every method with
-                            // this name — unless the name collides with
-                            // a std method, where the overwhelmingly
-                            // likely target is the std one.
-                            _ if STD_METHOD_NAMES.contains(&name.as_str()) => &[],
-                            _ => methods.get(name.as_str()).map_or(&[], Vec::as_slice),
-                        }
-                    }
-                };
-                if resolved.is_empty() {
-                    external_calls += 1;
-                } else {
-                    resolved_calls += 1;
-                    targets.extend_from_slice(resolved);
-                }
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            edges[id] = targets;
+        for n in &nodes {
+            let linked = index.link_item(&n.item);
+            resolved_calls += linked.resolved;
+            external_calls += linked.external;
+            edges.push(linked.exact);
+            loose_edges.push(linked.loose);
         }
+
+        let mut uses: Vec<Use> = Vec::new();
+        for f in files {
+            let users = f.fns.iter().filter(|i| i.in_test).chain(&f.item_calls);
+            for item in users {
+                let linked = index.link_item(item);
+                let mut targets = linked.exact;
+                targets.extend(linked.loose);
+                targets.sort_unstable();
+                targets.dedup();
+                uses.push(Use {
+                    path: f.path.clone(),
+                    in_test: item.in_test,
+                    targets,
+                });
+            }
+        }
+        uses.sort_by(|a, b| a.path.cmp(&b.path));
 
         let mut redges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         for (from, outs) in edges.iter().enumerate() {
@@ -226,6 +198,8 @@ impl CallGraph {
             nodes,
             edges,
             redges,
+            loose_edges,
+            uses,
             resolved_calls,
             external_calls,
         }
@@ -325,6 +299,133 @@ impl CallGraph {
                 names[names.len() - 2],
                 names[names.len() - 1]
             )
+        }
+    }
+}
+
+/// Resolution indexes over the nodes. All BTreeMaps: iteration order
+/// (and hence edge order) is deterministic.
+struct Index<'a> {
+    free: BTreeMap<&'a str, Vec<usize>>,
+    methods: BTreeMap<&'a str, Vec<usize>>,
+    /// `Type::method` keys are owned so lookups can be built from
+    /// locally-resolved receiver types.
+    typed: BTreeMap<String, Vec<usize>>,
+    known_types: BTreeMap<&'a str, ()>,
+    fields: BTreeMap<&'a str, BTreeMap<&'a str, &'a str>>,
+}
+
+/// One fn's call sites, resolved.
+struct Linked {
+    /// Exact and conservative targets, sorted and deduped.
+    exact: Vec<usize>,
+    /// Ambiguous targets (see [`CallGraph::loose_edges`]).
+    loose: Vec<usize>,
+    /// Call sites with at least one exact target.
+    resolved: usize,
+    /// Calls with no exact target (value uses are not counted).
+    external: usize,
+}
+
+impl<'a> Index<'a> {
+    fn build(nodes: &'a [Node], files: &'a [FileModel]) -> Index<'a> {
+        let mut index = Index {
+            free: BTreeMap::new(),
+            methods: BTreeMap::new(),
+            typed: BTreeMap::new(),
+            known_types: BTreeMap::new(),
+            fields: BTreeMap::new(),
+        };
+        for (id, n) in nodes.iter().enumerate() {
+            match &n.item.impl_type {
+                Some(t) => {
+                    index.methods.entry(&n.item.name).or_default().push(id);
+                    index
+                        .typed
+                        .entry(format!("{t}::{}", n.item.name))
+                        .or_default()
+                        .push(id);
+                    index.known_types.insert(t, ());
+                }
+                None => index.free.entry(&n.item.name).or_default().push(id),
+            }
+        }
+        for f in files {
+            for s in &f.structs {
+                let entry = index.fields.entry(&s.name).or_default();
+                for (field, ty) in &s.fields {
+                    entry.insert(field, ty);
+                }
+                index.known_types.insert(&s.name, ());
+            }
+        }
+        index
+    }
+
+    fn link_item(&self, item: &FnItem) -> Linked {
+        let mut linked = Linked {
+            exact: Vec::new(),
+            loose: Vec::new(),
+            resolved: 0,
+            external: 0,
+        };
+        for call in &item.calls {
+            let (exact, loose) = self.resolve(item, call);
+            if !exact.is_empty() {
+                linked.resolved += 1;
+            } else if !call.value {
+                linked.external += 1;
+            }
+            linked.exact.extend_from_slice(exact);
+            linked.loose.extend_from_slice(loose);
+        }
+        for v in [&mut linked.exact, &mut linked.loose] {
+            v.sort_unstable();
+            v.dedup();
+        }
+        linked
+    }
+
+    /// The exact (or conservative) targets of one call site, and its
+    /// loose ones.
+    fn resolve(&self, item: &FnItem, call: &CallSite) -> (&[usize], &[usize]) {
+        let free = |name: &str| self.free.get(name).map_or(&[][..], Vec::as_slice);
+        let typed = |key: String| self.typed.get(&key).map_or(&[][..], Vec::as_slice);
+        match &call.kind {
+            CallKind::Free(name) if call.value => (&[], free(name)),
+            CallKind::Free(name) => (free(name), &[]),
+            CallKind::Path { qualifier, name } => {
+                let q = if qualifier == "Self" {
+                    item.impl_type.as_deref().unwrap_or("Self")
+                } else {
+                    qualifier.as_str()
+                };
+                if q.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    (typed(format!("{q}::{name}")), &[])
+                } else {
+                    // Module-qualified free call.
+                    (free(name), &[])
+                }
+            }
+            CallKind::Method { name, chain } => {
+                let all = self
+                    .methods
+                    .get(name.as_str())
+                    .map_or(&[][..], Vec::as_slice);
+                match resolve_chain(item, chain, &self.fields) {
+                    Some(ty) if EXTERNAL_TYPES.contains(&ty.as_str()) => (&[], &[]),
+                    Some(ty) if self.known_types.contains_key(ty.as_str()) => {
+                        (typed(format!("{ty}::{name}")), &[])
+                    }
+                    // Unknown receiver type: the conservative
+                    // over-approximation — every method with this name
+                    // — unless the name collides with a std method,
+                    // where the overwhelmingly likely target is the std
+                    // one; then only R5 follows the link.
+                    _ if STD_METHOD_NAMES.contains(&name.as_str()) => (&[], all),
+                    _ => (all, &[]),
+                }
+            }
         }
     }
 }

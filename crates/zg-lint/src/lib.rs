@@ -26,13 +26,17 @@
 //!   which CI re-emits and diffs.
 //! * **R4** — unsafe propagation: `#[target_feature]` callees require
 //!   a runtime CPUID gate or an `unsafe` contract.
+//! * **R5** — no unreached code: every plain `pub fn` in a library
+//!   `src/` is reached from a binary, bench, example, test or perfbench
+//!   source (a crate's own unit tests do not count).
 //! * **A1** — allowlist hygiene: stale `[[allow]]` entries are flagged.
 //!
 //! The scanner is a hand-rolled lexer (no `syn`; the build box has no
 //! network) that strips comments/strings and tracks `#[cfg(test)]` /
 //! `mod tests` scopes so rules only see non-test library code —
-//! `tests/`, `benches/`, and `examples/` directories are walked too,
-//! wholesale as test scope. Rules are suppressed per file via
+//! `tests/`, `benches/`, and `examples/` directories (the workspace's
+//! own and every crate's) and `perfbench/src` are walked too, wholesale
+//! as test scope: they are R5's roots. Rules are suppressed per file via
 //! `lint.toml` allow entries, each of which must carry a written reason.
 //! Every finding is an error. The same pass runs three
 //! ways: the `zg-lint` binary (CI gate), the `workspace_clean`

@@ -3,10 +3,15 @@
 //! parser recognizes exactly what the reachability rules need:
 //!
 //! * `fn` items (free and inside `impl`/`trait` blocks) with their
-//!   visibility, `unsafe`-ness, and `#[target_feature]` attributes;
+//!   visibility, `unsafe`-ness, `#[target_feature]` attributes, and
+//!   whether they are trait methods;
 //! * every call site in a body, classified as a free call (`foo(..)`),
 //!   a method call (`x.y.foo(..)`, receiver chain kept for
-//!   field-type resolution), or a path call (`Type::foo(..)`);
+//!   field-type resolution), or a path call (`Type::foo(..)`); a fn
+//!   named as a value (`.map(helper)`, `.or_insert_with(Hist::new)`)
+//!   is recorded as a use of it too;
+//! * calls outside any fn body: `static`/`const` and `thread_local!`
+//!   initializers, and the items inside macros such as `proptest!`;
 //! * slice-index expressions (`x[..]`), each with its `// INVARIANT:`
 //!   justification status;
 //! * guard tokens: `no_grad(` calls and `is_x86_feature_detected!` CPUID
@@ -68,6 +73,10 @@ pub struct CallSite {
     /// 0-based source line.
     pub line: usize,
     pub kind: CallKind,
+    /// The fn is named as a value (`.map(helper)`), not called. The
+    /// linker keeps such a site only when it names a workspace fn, since
+    /// most bare identifiers are locals.
+    pub value: bool,
 }
 
 /// A slice-index expression (`x[..]`) inside a body.
@@ -88,8 +97,11 @@ pub struct FnItem {
     pub impl_type: Option<String>,
     /// 0-based declaration line.
     pub line: usize,
-    /// Declared with any `pub` visibility (incl. `pub(crate)`).
+    /// Declared plain `pub` (not `pub(crate)`, `pub(super)`, `pub(in ..)`).
     pub is_pub: bool,
+    /// Declared in a `trait` block or an `impl Trait for Type` block: a
+    /// callee of dispatch the linker cannot see (`Drop::drop`, `fmt`).
+    pub trait_method: bool,
     /// Declared `unsafe fn`.
     pub is_unsafe: bool,
     /// Carries a `#[target_feature(..)]` attribute.
@@ -135,6 +147,18 @@ pub struct FileModel {
     pub path: String,
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructDef>,
+    /// Calls made outside any fn body (`static`, `const` and
+    /// `thread_local!` initializers), gathered into unnamed pseudo-fns:
+    /// at most one outside and one inside test scope.
+    pub item_calls: Vec<FnItem>,
+}
+
+/// The modifiers parsed ahead of a `fn` keyword.
+struct FnHead {
+    is_pub: bool,
+    is_unsafe: bool,
+    has_target_feature: bool,
+    trait_method: bool,
 }
 
 /// Tokenize the code view of a lexed file.
@@ -199,6 +223,8 @@ struct Parser<'a> {
     src: &'a SourceModel,
     i: usize,
     out: FileModel,
+    /// Item-level calls outside (`[0]`) and inside (`[1]`) test scope.
+    item_calls: [FnItem; 2],
 }
 
 /// Parse a lexed file into its item model. `path` is workspace-relative.
@@ -212,8 +238,15 @@ pub fn parse_file(path: &str, src: &SourceModel) -> FileModel {
             path: path.to_string(),
             ..FileModel::default()
         },
+        item_calls: Default::default(),
     };
-    p.parse_items(None);
+    p.parse_items(None, false);
+    for (in_test, mut item) in [false, true].into_iter().zip(p.item_calls) {
+        if !item.calls.is_empty() {
+            item.in_test = in_test;
+            p.out.item_calls.push(item);
+        }
+    }
     p.out
 }
 
@@ -277,10 +310,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Item-level loop: runs at file top level and inside `impl`/`trait`
-    /// and `mod` bodies. Returns on the closing `}` of the enclosing
-    /// block (consumed) or at end of input.
-    fn parse_items(&mut self, impl_type: Option<&str>) {
+    /// Item-level loop: runs at file top level and inside `impl`/`trait`,
+    /// `mod` and other braced bodies (enums, macro invocations such as
+    /// `thread_local!` and `proptest!`). Returns on the closing `}` of the
+    /// enclosing block (consumed) or at end of input. `in_trait` marks
+    /// the fns of a `trait` or `impl Trait for Type` body.
+    fn parse_items(&mut self, impl_type: Option<&str>, in_trait: bool) {
         let mut pending_pub = false;
         let mut pending_unsafe = false;
         let mut pending_target_feature = false;
@@ -297,18 +332,21 @@ impl<'a> Parser<'a> {
                 return;
             }
             if t.is('{') {
-                // Stray block at item level (const initializer etc).
-                self.skip_balanced('{', '}');
+                // Any other braced body: enum variants, a `const`
+                // initializer block, a macro's items.
+                self.i += 1;
+                self.parse_items(None, false);
                 continue;
             }
             if t.is_ident() {
                 match t.text.as_str() {
                     "pub" => {
-                        pending_pub = true;
                         self.i += 1;
                         // `pub(crate)` / `pub(super)` restriction group.
                         if self.peek(0).is_some_and(|n| n.is('(')) {
                             self.skip_balanced('(', ')');
+                        } else {
+                            pending_pub = true;
                         }
                         continue;
                     }
@@ -317,13 +355,30 @@ impl<'a> Parser<'a> {
                         self.i += 1;
                         continue;
                     }
+                    // `const fn` / `async fn` keep the pending modifiers.
+                    "const" | "async"
+                        if self
+                            .peek(1)
+                            .is_some_and(|n| n.text == "fn" || n.text == "unsafe") =>
+                    {
+                        self.i += 1;
+                        continue;
+                    }
+                    "use" => {
+                        self.skip_use();
+                        pending_pub = false;
+                        continue;
+                    }
                     "fn" => {
                         self.i += 1;
                         self.parse_fn(
                             impl_type,
-                            pending_pub,
-                            pending_unsafe,
-                            pending_target_feature,
+                            FnHead {
+                                is_pub: pending_pub,
+                                is_unsafe: pending_unsafe,
+                                has_target_feature: pending_target_feature,
+                                trait_method: in_trait,
+                            },
                         );
                         pending_pub = false;
                         pending_unsafe = false;
@@ -332,7 +387,7 @@ impl<'a> Parser<'a> {
                     }
                     "impl" | "trait" => {
                         self.i += 1;
-                        self.parse_impl();
+                        self.parse_impl(t.text == "trait");
                         pending_pub = false;
                         pending_unsafe = false;
                         pending_target_feature = false;
@@ -355,13 +410,19 @@ impl<'a> Parser<'a> {
                         }
                         if self.peek(0).is_some_and(|n| n.is('{')) {
                             self.i += 1;
-                            self.parse_items(None);
+                            self.parse_items(None, false);
                         }
                         pending_pub = false;
                         pending_unsafe = false;
                         continue;
                     }
                     _ => {
+                        // A call, or a fn named as a value, in an
+                        // initializer.
+                        if let Some(site) = self.use_site(&t) {
+                            let scope = usize::from(self.in_test_at(t.line));
+                            self.item_calls[scope].calls.push(site);
+                        }
                         self.i += 1;
                         pending_pub = false;
                         pending_unsafe = false;
@@ -373,13 +434,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skip a `use` declaration through its `;`: an import names fns
+    /// without using them.
+    fn skip_use(&mut self) {
+        while let Some(t) = self.toks.get(self.i) {
+            self.i += 1;
+            if t.is(';') {
+                return;
+            }
+        }
+    }
+
     /// After `impl`/`trait`: find the self-type name, then parse the
     /// braced body as an item scope. The self-type is the last
     /// identifier before `{`, outside generic args and before `where`
     /// (`impl<E: Engine> Server<E> { ..` → `Server`;
-    /// `impl Engine for ZiGongEngine { ..` → `ZiGongEngine`).
-    fn parse_impl(&mut self) {
+    /// `impl Engine for ZiGongEngine { ..` → `ZiGongEngine`). The fns of
+    /// a `trait` body or a trait impl are trait methods.
+    fn parse_impl(&mut self, is_trait: bool) {
         let mut name: Option<String> = None;
+        let mut trait_impl = is_trait;
         while let Some(t) = self.toks.get(self.i).cloned() {
             if t.is('<') {
                 self.skip_balanced('<', '>');
@@ -388,7 +462,7 @@ impl<'a> Parser<'a> {
             if t.is('{') {
                 self.i += 1;
                 let ty = name.clone();
-                self.parse_items(ty.as_deref());
+                self.parse_items(ty.as_deref(), trait_impl);
                 return;
             }
             if t.is(';') {
@@ -410,7 +484,9 @@ impl<'a> Parser<'a> {
                     }
                     continue;
                 }
-                if t.text != "for" && t.text != "dyn" && t.text != "mut" {
+                if t.text == "for" {
+                    trait_impl = true;
+                } else if t.text != "dyn" && t.text != "mut" {
                     name = Some(t.text.clone());
                 }
             }
@@ -531,7 +607,7 @@ impl<'a> Parser<'a> {
     }
 
     /// After the `fn` keyword: parse name, signature, and body.
-    fn parse_fn(&mut self, impl_type: Option<&str>, is_pub: bool, is_unsafe: bool, tf: bool) {
+    fn parse_fn(&mut self, impl_type: Option<&str>, head: FnHead) {
         let (name, decl_line) = match self.peek(0) {
             Some(t) if t.is_ident() => (t.text.clone(), t.line),
             // `fn(..)` pointer type or malformed input: not a decl.
@@ -542,9 +618,10 @@ impl<'a> Parser<'a> {
             name,
             impl_type: impl_type.map(str::to_string),
             line: decl_line,
-            is_pub,
-            is_unsafe,
-            has_target_feature: tf,
+            is_pub: head.is_pub,
+            trait_method: head.trait_method,
+            is_unsafe: head.is_unsafe,
+            has_target_feature: head.has_target_feature,
             in_test: self.in_test_at(decl_line),
             ..FnItem::default()
         };
@@ -572,6 +649,11 @@ impl<'a> Parser<'a> {
                 if t.is('<') {
                     self.skip_balanced('<', '>');
                     continue;
+                }
+                // `proptest!` parameters draw from strategy calls
+                // (`x in arb_batch()`).
+                if let Some(site) = self.use_site(&t) {
+                    item.calls.push(site);
                 }
                 if depth == 1
                     && t.is_ident()
@@ -606,14 +688,14 @@ impl<'a> Parser<'a> {
             }
         }
         self.i += 1; // body '{'
-        self.parse_body(&mut item, impl_type);
+        self.parse_body(&mut item);
         self.out.fns.push(item);
     }
 
     /// Walk a body to its matching `}`, collecting call sites, index
     /// expressions, guard tokens, and simple `let` types. Nested `fn`
     /// items are parsed as their own [`FnItem`]s.
-    fn parse_body(&mut self, item: &mut FnItem, impl_type: Option<&str>) {
+    fn parse_body(&mut self, item: &mut FnItem) {
         let mut depth = 1i64;
         while let Some(t) = self.toks.get(self.i).cloned() {
             if t.is('#') {
@@ -653,6 +735,10 @@ impl<'a> Parser<'a> {
             }
             if t.is_ident() {
                 let name = t.text.as_str();
+                if name == "use" {
+                    self.skip_use();
+                    continue;
+                }
                 // `let` bindings: record simple explicit or `Type::new`
                 // inferred local types.
                 if name == "let" {
@@ -702,11 +788,13 @@ impl<'a> Parser<'a> {
                     self.i += 2;
                     continue;
                 }
-                // Call site: identifier directly followed by `(`.
-                if self.peek(1).is_some_and(|n| n.is('(')) && !KEYWORDS.contains(&name) {
-                    self.record_call(item, impl_type, &t);
-                    self.i += 1;
-                    continue;
+                if let Some(site) = self.use_site(&t) {
+                    if !site.value
+                        && matches!(&site.kind, CallKind::Free(n) | CallKind::Path { name: n, .. } if n == "no_grad")
+                    {
+                        item.calls_no_grad = true;
+                    }
+                    item.calls.push(site);
                 }
                 self.i += 1;
                 continue;
@@ -715,15 +803,45 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The use of a fn at `toks[self.i]`, the identifier `t`: a call
+    /// `t(..)`, or `t` named as a value and followed by `)`, `,`, `;`,
+    /// `]` or `}` — either as a path (`Hist::default_edges`) or bare
+    /// after `(`, `,` or `=` (`.map(to_pretrain_sample)`).
+    fn use_site(&self, t: &Tok) -> Option<CallSite> {
+        if !t.is_ident() || KEYWORDS.contains(&t.text.as_str()) {
+            return None;
+        }
+        let site = |kind, value| {
+            Some(CallSite {
+                line: t.line,
+                kind,
+                value,
+            })
+        };
+        let next = self.peek(1)?;
+        if next.is('(') {
+            return site(self.call_kind(t), false);
+        }
+        let ends_value = [')', ',', ';', ']', '}'].iter().any(|&c| next.is(c));
+        if !ends_value || !t.text.starts_with(|c: char| c.is_ascii_lowercase()) || t.text == "self"
+        {
+            return None;
+        }
+        let back = |k: usize| self.i.checked_sub(k).and_then(|j| self.toks.get(j));
+        if back(1).is_some_and(|p| p.is(':')) && back(2).is_some_and(|p| p.is(':')) {
+            return site(self.path_kind(t), true);
+        }
+        if back(1).is_some_and(|p| p.is('(') || p.is(',') || p.is('=')) {
+            return site(CallKind::Free(t.text.clone()), true);
+        }
+        None
+    }
+
     /// Classify the call at `toks[self.i]` (an ident followed by `(`).
-    fn record_call(&mut self, item: &mut FnItem, _impl_type: Option<&str>, t: &Tok) {
+    fn call_kind(&self, t: &Tok) -> CallKind {
         let name = t.text.clone();
-        let prev = self
-            .i
-            .checked_sub(1)
-            .and_then(|j| self.toks.get(j))
-            .cloned();
-        let kind = match prev {
+        let prev = self.i.checked_sub(1).and_then(|j| self.toks.get(j));
+        match prev {
             Some(p) if p.is('.') => {
                 // Receiver chain: walk `ident(.ident)*` leftward.
                 let mut chain = Vec::new();
@@ -758,24 +876,26 @@ impl<'a> Parser<'a> {
                         .and_then(|j| self.toks.get(j))
                         .is_some_and(|q| q.is(':')) =>
             {
-                let qual = self
-                    .i
-                    .checked_sub(3)
-                    .and_then(|j| self.toks.get(j))
-                    .filter(|q| q.is_ident())
-                    .map(|q| q.text.clone())
-                    .unwrap_or_default();
-                CallKind::Path {
-                    qualifier: qual,
-                    name,
-                }
+                self.path_kind(t)
             }
-            _ => CallKind::Free(name.clone()),
-        };
-        if matches!(&kind, CallKind::Free(n) | CallKind::Path { name: n, .. } if n == "no_grad") {
-            item.calls_no_grad = true;
+            _ => CallKind::Free(name),
         }
-        item.calls.push(CallSite { line: t.line, kind });
+    }
+
+    /// `Qual::name` at `toks[self.i]`: the qualifier is the path segment
+    /// before the `::`.
+    fn path_kind(&self, t: &Tok) -> CallKind {
+        let qualifier = self
+            .i
+            .checked_sub(3)
+            .and_then(|j| self.toks.get(j))
+            .filter(|q| q.is_ident())
+            .map(|q| q.text.clone())
+            .unwrap_or_default();
+        CallKind::Path {
+            qualifier,
+            name: t.text.clone(),
+        }
     }
 }
 
@@ -797,10 +917,14 @@ mod tests {
         assert!(f.is_pub);
         assert_eq!(f.impl_type, None);
         assert_eq!(f.locals.get("x").map(String::as_str), Some("Foo"));
-        assert_eq!(f.calls.len(), 2);
+        assert_eq!(f.calls.len(), 3);
         assert_eq!(f.calls[0].kind, CallKind::Free("helper".into()));
+        // The bare argument `x` may name a fn: kept as a value use.
+        assert!(f.calls[1].value);
+        assert_eq!(f.calls[1].kind, CallKind::Free("x".into()));
+        assert!(!f.calls[2].value);
         assert_eq!(
-            f.calls[1].kind,
+            f.calls[2].kind,
             CallKind::Method {
                 name: "go".into(),
                 chain: vec!["x".into()]

@@ -5,6 +5,7 @@
 //! | R1 | no unjustified slice index reachable from the serve roots (`[r1] roots` in lint.toml) |
 //! | R2 | every auto-discovered inference root (`[r2] entry_prefixes` match + reaches `Tensor::from_op`) is dominated by a `no_grad` guard on every tape-reaching path |
 //! | R4 | every fn calling a `#[target_feature]` `unsafe fn` (transitively through `unsafe` wrappers) is CPUID-gated or `unsafe` itself |
+//! | R5 | every plain `pub fn` in a library `src/` is reached from a root: a binary (`src/bin/`, `main.rs`), bench, example, integration test or `perfbench/src` fn, a trait method, an item-level initializer, or a unit test of *another* crate |
 //!
 //! Panics and wall-clock reads need no graph rule: the lexical P1 and D2
 //! flag every such site in library code, whether a root reaches it or not.
@@ -14,6 +15,7 @@
 //! `results/lint_graph.json`, which CI re-emits and diffs.
 
 use crate::config::Config;
+use crate::engine::is_test_path;
 use crate::graph::CallGraph;
 use crate::model::CallKind;
 use crate::rules::Violation;
@@ -45,6 +47,10 @@ pub struct GraphStats {
     pub r2_roots: usize,
     /// `#[target_feature]` unsafe fns (R4 sources).
     pub r4_dangerous: usize,
+    /// Plain `pub` library fns R5 checks.
+    pub r5_checked: usize,
+    /// Nodes reached from R5's roots.
+    pub r5_reached: usize,
 }
 
 /// Output of the phase-2 analysis.
@@ -58,7 +64,7 @@ pub struct ReachOutcome {
     pub stats: GraphStats,
 }
 
-/// Run R1, R2 and R4 over a linked graph.
+/// Run R1, R2, R4 and R5 over a linked graph.
 pub fn analyze(graph: &CallGraph, config: &Config) -> ReachOutcome {
     let mut out = ReachOutcome {
         stats: GraphStats {
@@ -73,6 +79,7 @@ pub fn analyze(graph: &CallGraph, config: &Config) -> ReachOutcome {
     check_r1(graph, config, &mut out);
     check_r2(graph, config, &mut out);
     check_r4(graph, &mut out);
+    check_r5(graph, &mut out);
     out.findings.sort();
     out
 }
@@ -264,6 +271,75 @@ fn check_r4(graph: &CallGraph, out: &mut ReachOutcome) {
     }
 }
 
+/// R5: no unreached library code. Roots are every fn of a binary,
+/// bench, example, integration test or perfbench source, every trait
+/// method (dispatch the linker cannot follow), and every item-level
+/// initializer call. A unit test reaches only *other* crates, so a fn
+/// whose one caller is its own crate's tests is dead. Liveness follows
+/// the loose edges too: R5 may miss dead code, never flag live code. `pub(crate)` and private fns are rustc's `dead_code`.
+fn check_r5(graph: &CallGraph, out: &mut ReachOutcome) {
+    let mut queue: Vec<usize> = (0..graph.nodes.len())
+        .filter(|&id| graph.nodes[id].item.trait_method || is_binary_src(&graph.nodes[id].path))
+        .collect();
+    for u in &graph.uses {
+        let own = (u.in_test && !is_test_path(&u.path)).then(|| crate_of(&u.path));
+        queue.extend(
+            u.targets
+                .iter()
+                .filter(|&&t| own != Some(crate_of(&graph.nodes[t].path))),
+        );
+    }
+    let mut live = vec![false; graph.nodes.len()];
+    let mut head = 0;
+    while head < queue.len() {
+        let id = queue[head];
+        head += 1;
+        if live[id] {
+            continue;
+        }
+        live[id] = true;
+        queue.extend(graph.edges[id].iter().chain(&graph.loose_edges[id]));
+    }
+    out.stats.r5_reached = live.iter().filter(|&&l| l).count();
+    for (id, node) in graph.nodes.iter().enumerate() {
+        let checked = node.item.is_pub
+            && !node.item.trait_method
+            && !is_binary_src(&node.path)
+            && (node.path.starts_with("src/") || node.path.contains("/src/"));
+        if !checked {
+            continue;
+        }
+        out.stats.r5_checked += 1;
+        if !live[id] {
+            out.findings.push(finding(
+                "R5",
+                &node.path,
+                node.item.line + 1,
+                format!(
+                    "pub fn `{}` is reached from no binary, bench, example, \
+                     test or perfbench source: delete it, or make it \
+                     `pub(crate)` if its own crate still uses it",
+                    node.qname()
+                ),
+            ));
+        }
+    }
+}
+
+/// A binary's source: `src/bin/**` or a `main.rs`.
+fn is_binary_src(path: &str) -> bool {
+    path.contains("src/bin/") || path == "main.rs" || path.ends_with("/main.rs")
+}
+
+/// The package a path belongs to: `crates/<name>`, or `""` for the root
+/// package (`src/`, `tests/`, `examples/`).
+fn crate_of(path: &str) -> &str {
+    match path.strip_prefix("crates/") {
+        Some(rest) => &path[..path.len() - rest.len() + rest.find('/').unwrap_or(rest.len())],
+        None => "",
+    }
+}
+
 /// Reverse-propagate a boolean property to callers: `set[n] |= any
 /// callee in `set``, restricted to nodes passing `carrier`. Runs to a
 /// fixpoint (deterministic: pure set semantics).
@@ -342,6 +418,11 @@ mod tests {
         analyze(&graph, &config)
     }
 
+    /// A binary driving the fixture's library fns, so R5 stays quiet.
+    fn bin(calls: &'static str) -> (&'static str, &'static str) {
+        ("crates/s/src/bin/main.rs", calls)
+    }
+
     fn rules_of(out: &ReachOutcome) -> Vec<&'static str> {
         out.findings.iter().map(|f| f.rule).collect()
     }
@@ -358,6 +439,7 @@ mod tests {
                     "crates/s/src/b.rs",
                     "pub fn helper() { deep(); }\npub fn deep(v: &[u32]) -> u32 { v.first().unwrap(); v[0] }\n",
                 ),
+                bin("fn main(s: Server) { s.tick(); }\n"),
             ],
             "[r1]\nroots = [\"Server::tick\"]\n",
         );
@@ -372,7 +454,10 @@ mod tests {
     #[test]
     fn r1_missing_root_is_reported() {
         let out = analyze_srcs(
-            &[("crates/s/src/a.rs", "pub fn other() {}\n")],
+            &[
+                ("crates/s/src/a.rs", "pub fn other() {}\n"),
+                bin("fn main() { other(); }\n"),
+            ],
             "[r1]\nroots = [\"Server::run_batch\"]\n",
         );
         assert_eq!(rules_of(&out), vec!["R1"]);
@@ -392,6 +477,7 @@ pub fn generate_raw() { decode(); }
 fn decode() { Tensor::from_op(); }
 ",
         )];
+        let srcs = [srcs[0], bin("fn main() { generate(); generate_raw(); }\n")];
         let out = analyze_srcs(&srcs, "[r2]\nentry_prefixes = [\"generate\"]\n");
         // Both roots are discovered, but only the unguarded one is R2.
         assert_eq!(rules_of(&out), vec!["R2"]);
@@ -414,6 +500,7 @@ fn score() { no_grad(); decode(); }
 fn decode() { Tensor::from_op(); }
 ",
         )];
+        let srcs = [srcs[0], bin("fn main() { evaluate_item(); }\n")];
         let out = analyze_srcs(&srcs, "[r2]\nentry_prefixes = [\"evaluate_\"]\n");
         assert!(rules_of(&out).is_empty());
         assert_eq!(out.manifest.len(), 1);
@@ -431,7 +518,8 @@ pub fn ungated(p: *const f32) { unsafe { mk8x8(p) } }
 pub unsafe fn wrapper(p: *const f32) { mk8x8(p); }
 pub fn calls_wrapper(p: *const f32) { unsafe { wrapper(p) } }
 ";
-        let out = analyze_srcs(&[("crates/t/src/simd.rs", src)], "");
+        let root = bin("fn main(p: *const f32) { gated(p); ungated(p); calls_wrapper(p); }\n");
+        let out = analyze_srcs(&[("crates/t/src/simd.rs", src), root], "");
         // `ungated` calls the dangerous fn directly; `calls_wrapper`
         // inherits the obligation through the unsafe wrapper. `gated`
         // holds a detection-helper gate and passes.
@@ -453,6 +541,7 @@ pub fn calls_wrapper(p: *const f32) { unsafe { wrapper(p) } }
                     "crates/b/src/lib.rs",
                     "pub fn helper(v: &[u32]) -> u32 {\n    v[1]\n}\n",
                 ),
+                bin("fn main(s: Server) { s.tick(); }\n"),
             ],
             "[r1]\nroots = [\"Server::tick\"]\n",
         );

@@ -116,6 +116,8 @@ pub fn graph_json(result: &ScanResult) -> String {
         "r1_reachable": result.stats.r1_reachable,
         "r2_roots": result.stats.r2_roots,
         "r4_dangerous": result.stats.r4_dangerous,
+        "r5_checked": result.stats.r5_checked,
+        "r5_reached": result.stats.r5_reached,
     });
     let doc = serde_json::json!({
         "schema": "zg-lint/graph-v2",

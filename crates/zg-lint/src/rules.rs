@@ -51,7 +51,7 @@ impl PartialOrd for Violation {
 
 /// All rule ids, in report order: lexical families first, then the
 /// call-graph reachability families, then allowlist hygiene.
-pub const RULE_IDS: [&str; 8] = ["D1", "D2", "P1", "U1", "R1", "R2", "R4", "A1"];
+pub const RULE_IDS: [&str; 9] = ["D1", "D2", "P1", "U1", "R1", "R2", "R4", "R5", "A1"];
 
 /// Run every lexical rule over one lexed file. `path` is
 /// workspace-relative and only used for reporting; allowlist filtering

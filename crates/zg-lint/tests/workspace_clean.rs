@@ -84,6 +84,19 @@ fn walk_covers_test_dirs_and_skips_build_output() {
             result.files.len()
         );
     }
+    // R5's roots outside `crates/`: the benchmark, the umbrella crate's
+    // integration tests and its examples. Losing one of these directories
+    // must fail here, not turn every use it holds into an R5 finding.
+    for root in [
+        "perfbench/src/main.rs",
+        "tests/end_to_end.rs",
+        "examples/quickstart.rs",
+    ] {
+        assert!(
+            result.files.iter().any(|f| f == root),
+            "walk must read {root}"
+        );
+    }
     for banned in ["target/", "vendor/", "fixtures/"] {
         assert!(
             result.files.iter().all(|f| !f.contains(banned)),

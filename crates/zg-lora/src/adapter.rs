@@ -3,7 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zg_model::{Adapter, CausalLm, Linear};
-use zg_tensor::{gemm, Tensor};
+use zg_tensor::Tensor;
 
 /// Which attention projections receive adapters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,48 +99,6 @@ pub fn attach(lm: &mut CausalLm, cfg: &LoraConfig, rng: &mut impl Rng) {
     }
 }
 
-/// Remove all adapters (without merging) and unfreeze the base model.
-pub fn detach(lm: &mut CausalLm) {
-    for block in &mut lm.blocks {
-        for linear in block.attn.projections_mut() {
-            linear.adapter = None;
-        }
-    }
-    for (_, p) in lm.params() {
-        p.set_requires_grad(true);
-    }
-}
-
-/// Fold every adapter into its base weight (`W += scale·A·B`) and remove
-/// it. The merged model computes identical outputs without the adapter
-/// forward cost.
-pub fn merge(lm: &mut CausalLm) {
-    for block in &mut lm.blocks {
-        for linear in block.attn.projections_mut() {
-            let Some(ad) = linear.adapter.take() else {
-                continue;
-            };
-            let (fin, fout) = (linear.in_features(), linear.out_features());
-            let rank = ad.a.dims()[1];
-            let mut delta = vec![0.0f32; fin * fout];
-            gemm(
-                false,
-                false,
-                fin,
-                fout,
-                rank,
-                &ad.a.data(),
-                &ad.b.data(),
-                &mut delta,
-            );
-            let mut w = linear.weight.data_mut();
-            for (wv, dv) in w.iter_mut().zip(&delta) {
-                *wv += ad.scale * dv;
-            }
-        }
-    }
-}
-
 /// The adapter parameters of `lm` (name, tensor) — the LoRA subspace.
 pub fn lora_params(lm: &CausalLm) -> Vec<(String, Tensor)> {
     lm.params()
@@ -214,38 +172,6 @@ mod tests {
                 "{name}: grad {has_grad}, adapter {is_adapter}"
             );
         }
-    }
-
-    #[test]
-    fn merge_reproduces_adapted_outputs() {
-        let mut lm = tiny_lm(7);
-        let mut rng = StdRng::seed_from_u64(8);
-        attach(&mut lm, &LoraConfig::default(), &mut rng);
-        // Give B nonzero values so the adapter actually does something.
-        for (name, p) in lora_params(&lm) {
-            if name.ends_with("lora_b") {
-                let d: Vec<f32> = (0..p.numel()).map(|i| 0.01 * (i % 7) as f32).collect();
-                p.set_data(&d);
-            }
-        }
-        let adapted = lm.forward(&[3, 1, 4], 1, 3).to_vec();
-        merge(&mut lm);
-        assert!(lora_params(&lm).is_empty(), "adapters removed after merge");
-        let merged = lm.forward(&[3, 1, 4], 1, 3).to_vec();
-        for (a, b) in adapted.iter().zip(&merged) {
-            assert!((a - b).abs() < 1e-4, "merge changed outputs: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn detach_restores_full_training() {
-        let mut lm = tiny_lm(9);
-        let all = lm.params().len();
-        let mut rng = StdRng::seed_from_u64(10);
-        attach(&mut lm, &LoraConfig::default(), &mut rng);
-        detach(&mut lm);
-        assert_eq!(lm.trainable_params().len(), all);
-        assert_eq!(lora_param_count(&lm), 0);
     }
 
     #[test]

@@ -12,4 +12,4 @@
 
 mod adapter;
 
-pub use adapter::{attach, detach, lora_param_count, lora_params, merge, LoraConfig, TargetModule};
+pub use adapter::{attach, lora_param_count, lora_params, LoraConfig, TargetModule};

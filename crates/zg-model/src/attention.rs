@@ -50,12 +50,6 @@ impl LayerKvCache {
         self.len() == 0
     }
 
-    /// Drop all cached entries.
-    pub fn clear(&mut self) {
-        self.k = None;
-        self.v = None;
-    }
-
     /// Append new keys/values and return the full concatenated K/V for
     /// this forward pass. The *stored* cache is trimmed to the most
     /// recent `window` positions (the sliding window makes older entries
@@ -324,8 +318,6 @@ mod tests {
             attn.forward(&step, &rope, t, Some(&mut cache));
         }
         assert_eq!(cache.len(), 3, "cache must trim to the window");
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl ModelConfig {
         self.d_model / self.n_heads
     }
 
-    /// Query heads per KV head (GQA group size).
-    pub fn kv_groups(&self) -> usize {
-        self.n_heads / self.n_kv_heads
-    }
-
     /// Validate internal consistency; panics with a clear message otherwise.
     pub fn validate(&self) {
         assert!(self.vocab_size > 0, "vocab_size must be positive");
@@ -112,7 +107,7 @@ mod tests {
         let c = ModelConfig::mistral_miniature(300);
         c.validate();
         assert_eq!(c.head_dim(), 16);
-        assert_eq!(c.kv_groups(), 2);
+        assert_eq!(c.n_heads / c.n_kv_heads, 2);
     }
 
     #[test]

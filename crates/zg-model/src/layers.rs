@@ -77,13 +77,6 @@ impl Linear {
         }
     }
 
-    /// Linear layer with a zero-initialized bias.
-    pub fn with_bias(in_features: usize, out_features: usize, init: &mut impl Init) -> Self {
-        let mut l = Self::new(in_features, out_features, init);
-        l.bias = Some(Tensor::param(vec![0.0; out_features], [out_features]));
-        l
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.weight.dims()[0]
@@ -189,7 +182,8 @@ mod tests {
     #[test]
     fn linear_shapes_and_bias() {
         let mut rng = StdRng::seed_from_u64(0);
-        let l = Linear::with_bias(4, 3, &mut rng);
+        let mut l = Linear::new(4, 3, &mut rng);
+        l.bias = Some(Tensor::param(vec![0.0; 3], [3]));
         let x = Tensor::ones([2, 5, 4]);
         let y = l.forward(&x);
         assert_eq!(y.dims(), &[2, 5, 3]);

@@ -3,7 +3,7 @@
 //! A from-scratch, Mistral-style decoder-only transformer on the
 //! `zg-tensor` autograd engine: RMSNorm, rotary position embeddings,
 //! grouped-query attention with sliding-window causal masking, SwiGLU MLP,
-//! KV-cache decoding, AdamW with cosine decay, and `ZGT1` checkpointing.
+//! KV-cache decoding, AdamW with cosine decay, and in-memory checkpoints.
 //!
 //! This is the substrate standing in for Mistral 7B in the ZiGong
 //! reproduction (see DESIGN.md §2 for the substitution argument): every
@@ -11,7 +11,6 @@
 //! CPU-trainable size.
 
 mod attention;
-mod beam;
 mod block;
 mod config;
 mod layers;
@@ -20,11 +19,9 @@ mod mlp;
 mod optim;
 mod prefix;
 mod rope;
-mod sampling;
 mod spec;
 
 pub use attention::{attn_mask, Attention, LayerKvCache};
-pub use beam::beam_search;
 pub use block::TransformerBlock;
 pub use config::ModelConfig;
 pub use layers::{Adapter, Embedding, Init, Linear, RmsNorm, ZeroInit};
@@ -33,5 +30,4 @@ pub use mlp::SwiGluMlp;
 pub use optim::{clip_grad_norm, AdamW, CosineSchedule};
 pub use prefix::{PrefixBlock, PrefixPool, PrefixStats};
 pub use rope::RopeCache;
-pub use sampling::{sample_filtered, SamplingConfig};
 pub use spec::LmSpec;

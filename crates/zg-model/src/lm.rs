@@ -485,13 +485,6 @@ mod tests {
         let max = lm.cfg.max_seq_len;
         let out = lm.generate(&[1, 2, 3], max + 10, 0.0, u32::MAX, &mut rng);
         assert_eq!(out.len(), max - 3 + 1);
-        let cfg = crate::SamplingConfig::greedy();
-        let with = lm.generate_with(&[1, 2, 3], max + 10, &cfg, u32::MAX, &mut rng);
-        assert_eq!(
-            with.len(),
-            out.len(),
-            "generate_with stops at the same bound"
-        );
     }
 
     #[test]
@@ -520,11 +513,6 @@ mod tests {
         let (out, n) = steps(&mut || lm.generate(&[1, 2, 3], 6, 0.0, u32::MAX, &mut rng));
         assert_eq!(out, expect);
         assert_eq!(n, 5.0, "6 tokens take 5 steps");
-        // `generate_with` steps the prompt in token by token: 3 + 5.
-        let cfg = crate::SamplingConfig::greedy();
-        let (out, n) = steps(&mut || lm.generate_with(&[1, 2, 3], 6, &cfg, u32::MAX, &mut rng));
-        assert_eq!(out, expect);
-        assert_eq!(n, 8.0);
     }
 
     #[test]

@@ -464,16 +464,6 @@ impl PrefixPool {
         }
     }
 
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().entries
-    }
-
-    /// Whether the pool holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Assert the pool is quiescent: no outstanding leases anywhere.
     /// The serving engine calls this between requests in its leak
     /// audits — a lease that outlives its request is a refcount leak
@@ -720,12 +710,12 @@ mod tests {
         let lease2 = pool.insert(&p2, c2, l2);
         let lease3 = pool.insert(&p3, c3, l3);
         // All three leased: nothing evictable, pool exceeds its budget.
-        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.stats().entries, 3);
         assert_eq!(pool.stats().live_leases, 3);
         assert_eq!(pool.stats().resident_tokens, 18);
         // Releasing the oldest makes it the (only) eviction victim.
         drop(lease1);
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.stats().entries, 2);
         assert_eq!(pool.stats().evictions, 1);
         assert_eq!(pool.stats().resident_tokens, 12);
         assert!(pool.acquire(&toks(7, 1)).is_none(), "entry 1 evicted");
@@ -773,7 +763,7 @@ mod tests {
         let mut c = lm.new_cache();
         let l = lm.prefill(&p2, &mut c);
         drop(pool.insert(&p2, c, l));
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.stats().entries, 1);
         assert_eq!(pool.stats().evictions, 1);
         assert!(pool.acquire(&toks(9, 1)).is_none());
         assert!(pool.acquire(&toks(9, 2)).is_some());
@@ -805,7 +795,7 @@ mod tests {
         leases.clear();
         drop(seed_lease);
         pool.assert_quiescent();
-        assert_eq!(pool.len(), 1, "entry survives lease churn");
+        assert_eq!(pool.stats().entries, 1, "entry survives lease churn");
     }
 
     /// Edge splits keep outstanding leases valid: inserting a key that

@@ -67,29 +67,6 @@ impl LmSpec {
         }
     }
 
-    /// The snapshotted model configuration.
-    pub fn cfg(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
-    /// Refresh the weight buffers (and gradient flags) from `lm` without
-    /// re-deriving configuration or adapter geometry. Panics if `lm`'s
-    /// parameter set diverged from the snapshot — the spec is a structural
-    /// blueprint, not a diff.
-    pub fn refresh_weights(&mut self, lm: &CausalLm) {
-        let params = lm.params();
-        assert_eq!(
-            params.len(),
-            self.weights.len(),
-            "refresh_weights: parameter set changed since snapshot"
-        );
-        for ((name, data, rg), (pname, p)) in self.weights.iter_mut().zip(params) {
-            assert_eq!(*name, pname, "refresh_weights: parameter order changed");
-            data.copy_from_slice(&p.data());
-            *rg = p.requires_grad();
-        }
-    }
-
     /// Rebuild an exact replica of the snapshotted model.
     pub fn build(&self) -> CausalLm {
         // Every weight is restored below, so none is drawn at random.
@@ -196,20 +173,5 @@ mod tests {
         let ad = q.adapter.as_ref().expect("adapter slot recreated");
         assert_eq!(ad.scale, 0.5);
         assert!(ad.b.data().iter().all(|&v| v == 0.25));
-    }
-
-    #[test]
-    fn refresh_weights_tracks_mutation() {
-        let lm = tiny_lm();
-        let mut spec = LmSpec::snapshot(&lm);
-        // Mutate the source model, refresh, rebuild: replica sees the new
-        // weights.
-        let (_, p0) = &lm.params()[0];
-        let bumped: Vec<f32> = p0.data().iter().map(|v| v + 1.0).collect();
-        p0.set_data(&bumped);
-        spec.refresh_weights(&lm);
-        let replica = spec.build();
-        let (_, r0) = &replica.params()[0];
-        assert_eq!(r0.data().to_vec(), bumped);
     }
 }

@@ -365,15 +365,6 @@ impl ZiGongEngine {
         }
     }
 
-    /// Number of replicas (1 for the inline engine).
-    pub fn replicas(&self) -> usize {
-        if self.inline.is_some() {
-            1
-        } else {
-            self.workers.len()
-        }
-    }
-
     /// Aggregate prefix-pool statistics across all replicas, plus the
     /// per-replica leak-audit verdict.
     pub fn audit(&mut self) -> (Result<(), String>, PrefixStats) {

@@ -38,24 +38,6 @@ impl LatencyRecorder {
         self.sorted.insert(at, seconds);
     }
 
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Nearest-rank percentile (`q` in `[0, 1]`) over the samples so far.
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        rank(&self.sorted, q)
-    }
-
     /// Summarize all samples. Returns an all-zero summary when empty
     /// (the bench treats `n == 0` as "no traffic").
     pub fn summary(&self) -> LatencySummary {
@@ -124,12 +106,13 @@ mod tests {
     }
 
     #[test]
-    fn percentile_handles_nan_free_total_order() {
+    fn record_keeps_samples_sorted() {
         let mut r = LatencyRecorder::new();
         for v in [0.3, 0.1, 0.2] {
             r.record(v);
         }
-        assert_eq!(r.percentile(0.0), 0.1);
-        assert_eq!(r.percentile(1.0), 0.3);
+        let s = r.summary();
+        assert_eq!(s.p50, 0.2);
+        assert_eq!(s.max, 0.3);
     }
 }

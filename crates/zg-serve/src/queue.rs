@@ -81,12 +81,6 @@ impl BoundedQueue {
         out
     }
 
-    /// Dequeue up to `max` requests: all of `High` before any `Normal`
-    /// before any `Low`, FIFO inside each lane.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<QueuedRequest> {
-        self.pop_batch_grouped(max, 0)
-    }
-
     /// Dequeue up to `max` requests with **prefix-aware composition**:
     /// lanes still drain strictly `High` before `Normal` before `Low`,
     /// and each lane still takes its oldest request first — but after
@@ -105,7 +99,7 @@ impl BoundedQueue {
     ///   exact admission order (pulls scan front-to-back);
     /// * untemplated requests (`template == None`) are never reordered
     ///   relative to their lane;
-    /// * `window == 0` is plain priority-FIFO ([`BoundedQueue::pop_batch`]).
+    /// * `window == 0` is plain priority-FIFO.
     pub fn pop_batch_grouped(&mut self, max: usize, window: usize) -> Vec<QueuedRequest> {
         let mut out = Vec::with_capacity(max.min(self.len));
         for lane in &mut self.lanes {
@@ -215,9 +209,9 @@ mod tests {
         ] {
             q.push(req(id, p, None)).unwrap();
         }
-        let ids: Vec<RequestId> = q.pop_batch(4).iter().map(|r| r.id).collect();
+        let ids: Vec<RequestId> = q.pop_batch_grouped(4, 0).iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![3, 5, 2, 4]);
-        let ids: Vec<RequestId> = q.pop_batch(4).iter().map(|r| r.id).collect();
+        let ids: Vec<RequestId> = q.pop_batch_grouped(4, 0).iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1]);
         assert!(q.is_empty());
     }
@@ -232,7 +226,7 @@ mod tests {
         assert_eq!(expired, vec![1]);
         assert_eq!(q.len(), 2);
         // Survivors keep their order.
-        let ids: Vec<RequestId> = q.pop_batch(8).iter().map(|r| r.id).collect();
+        let ids: Vec<RequestId> = q.pop_batch_grouped(8, 0).iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![3, 2]);
     }
 
@@ -268,17 +262,12 @@ mod tests {
 
     #[test]
     fn grouped_pop_window_zero_is_plain_fifo() {
-        let mk = || {
-            let mut q = BoundedQueue::new(8);
-            for (id, t) in [(1, Some(3)), (2, Some(4)), (3, Some(3)), (4, Some(4))] {
-                q.push(treq(id, Priority::Normal, t)).unwrap();
-            }
-            q
-        };
-        let plain: Vec<RequestId> = mk().pop_batch(8).iter().map(|r| r.id).collect();
-        let grouped: Vec<RequestId> = mk().pop_batch_grouped(8, 0).iter().map(|r| r.id).collect();
-        assert_eq!(plain, vec![1, 2, 3, 4]);
-        assert_eq!(plain, grouped);
+        let mut q = BoundedQueue::new(8);
+        for (id, t) in [(1, Some(3)), (2, Some(4)), (3, Some(3)), (4, Some(4))] {
+            q.push(treq(id, Priority::Normal, t)).unwrap();
+        }
+        let ids: Vec<RequestId> = q.pop_batch_grouped(8, 0).iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
     }
 
     #[test]

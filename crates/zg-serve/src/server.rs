@@ -95,11 +95,6 @@ impl<E: Engine> Server<E> {
         self.ops = Some(OpsPlane::new(cfg));
     }
 
-    /// The ops plane, if enabled.
-    pub fn ops(&self) -> Option<&OpsPlane> {
-        self.ops.as_ref()
-    }
-
     /// Mutable ops plane, if enabled (e.g. to `finish` a run or drain
     /// post-mortems).
     pub fn ops_mut(&mut self) -> Option<&mut OpsPlane> {

@@ -154,11 +154,6 @@ impl<E: Engine> TimedEngine<E> {
         }
     }
 
-    /// Borrow the wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
     /// Mutably borrow the wrapped engine.
     pub fn inner_mut(&mut self) -> &mut E {
         &mut self.inner

@@ -35,12 +35,6 @@ impl Tensor {
         let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
         Tensor::rand_uniform([fan_in, fan_out], -bound, bound, rng)
     }
-
-    /// Kaiming-normal init (`std = sqrt(2/fan_in)`) for ReLU-family nets.
-    pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
-        let std = (2.0 / fan_in as f32).sqrt();
-        Tensor::randn([fan_in, fan_out], 0.0, std, rng)
-    }
 }
 
 #[cfg(test)]
@@ -82,15 +76,5 @@ mod tests {
         let t = Tensor::xavier_uniform(300, 300, &mut rng);
         let bound = (6.0f32 / 600.0).sqrt();
         assert!(t.data().iter().all(|&v| v.abs() <= bound));
-    }
-
-    #[test]
-    fn kaiming_std_scales_with_fan_in() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let t = Tensor::kaiming_normal(200, 100, &mut rng);
-        let d = t.data();
-        let std = (d.iter().map(|v| v * v).sum::<f32>() / d.len() as f32).sqrt();
-        let expect = (2.0f32 / 200.0).sqrt();
-        assert!((std - expect).abs() < 0.02, "{std} vs {expect}");
     }
 }

@@ -75,11 +75,6 @@ impl GraphLeakGuard {
             pooled_baseline: crate::pool::live_pooled_buffers(),
         }
     }
-
-    /// The live tape node count captured at construction.
-    pub fn baseline(&self) -> u64 {
-        self.baseline
-    }
 }
 
 impl Drop for GraphLeakGuard {

@@ -15,8 +15,8 @@
 //! - Fused softmax / log-softmax / cross-entropy kernels.
 //! - [`Tensor::custom`] — define new differentiable ops downstream.
 //! - [`no_grad`] scopes for tape-free inference.
-//! - [`TensorStore`] — the `ZGT1` checkpoint format (TracIn replays
-//!   gradients at stored checkpoints, so checkpoints are load-bearing).
+//! - [`TensorStore`] — named checkpoints (TracIn replays gradients at
+//!   stored checkpoints, so checkpoints are load-bearing).
 //!
 //! ```
 //! use zg_tensor::Tensor;
@@ -29,7 +29,6 @@
 
 mod autograd;
 mod fastpath;
-mod gradcheck;
 mod init;
 mod leak;
 mod ops_binary;
@@ -37,7 +36,6 @@ mod ops_matmul;
 mod ops_nn;
 mod ops_reduce;
 mod ops_shape;
-mod ops_stats;
 mod ops_unary;
 mod pool;
 mod shape;
@@ -46,7 +44,6 @@ mod store;
 mod tensor;
 
 pub use fastpath::{op_fast_paths, set_op_fast_paths};
-pub use gradcheck::{gradcheck, GradCheckReport};
 pub use init::randn_sample;
 pub use leak::{live_tape_nodes, GraphLeakGuard};
 pub use ops_matmul::{

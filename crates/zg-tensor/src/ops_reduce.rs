@@ -93,50 +93,6 @@ impl Tensor {
         let len = self.dims()[ax] as f32;
         self.sum_axis(axis, keepdim).div_scalar(len)
     }
-
-    /// Maximum along `axis`. Gradient flows to the (first) argmax only.
-    pub fn max_axis(&self, axis: isize, keepdim: bool) -> Tensor {
-        let ax = self.shape().resolve_axis(axis);
-        let (outer, len, inner) = axis_extents(self.shape(), ax);
-        let data = self.data();
-        let mut out = crate::pool::take_scratch(outer * inner);
-        out.fill(f32::NEG_INFINITY);
-        let mut arg = vec![0usize; outer * inner];
-        for o in 0..outer {
-            for a in 0..len {
-                let base = (o * len + a) * inner;
-                for i in 0..inner {
-                    let v = data[base + i];
-                    let oi = o * inner + i;
-                    if v > out[oi] {
-                        out[oi] = v;
-                        arg[oi] = a;
-                    }
-                }
-            }
-        }
-        drop(data);
-        let parent = self.clone();
-        Tensor::from_op(
-            out,
-            reduced_shape(self.shape(), ax, keepdim),
-            vec![self.clone()],
-            Box::new(move |outt| {
-                let g = outt.out_grad();
-                let g: &[f32] = &g;
-                let mut gx = crate::pool::PooledBuf::zeroed(parent.numel());
-                for o in 0..outer {
-                    for i in 0..inner {
-                        let oi = o * inner + i;
-                        gx[(o * len + arg[oi]) * inner + i] = g[oi];
-                    }
-                }
-                if parent.requires_grad() {
-                    parent.accumulate_grad(&gx);
-                }
-            }),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -183,32 +139,5 @@ mod tests {
     fn mean_axis_values() {
         let x = Tensor::from_vec(vec![2.0, 4.0, 6.0, 8.0], [2, 2]);
         assert_eq!(x.mean_axis(-1, false).to_vec(), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn max_axis_values_and_grad() {
-        let x = Tensor::param(vec![1.0, 5.0, 3.0, 9.0, 2.0, 4.0], [2, 3]);
-        let m = x.max_axis(1, false);
-        assert_eq!(m.to_vec(), vec![5.0, 9.0]);
-        m.sum().backward();
-        assert_eq!(x.grad().unwrap(), vec![0.0, 1.0, 0.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn max_axis_keepdim_for_softmax_stability() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
-        let m = x.max_axis(-1, true);
-        assert_eq!(m.dims(), &[2, 1]);
-        // Subtraction broadcasts back over the reduced axis.
-        let centered = x.sub(&m);
-        assert_eq!(centered.to_vec(), vec![-1.0, 0.0, -1.0, 0.0]);
-    }
-
-    #[test]
-    fn max_axis_ties_take_first() {
-        let x = Tensor::param(vec![7.0, 7.0], [1, 2]);
-        let m = x.max_axis(1, false);
-        m.sum().backward();
-        assert_eq!(x.grad().unwrap(), vec![1.0, 0.0]);
     }
 }

@@ -118,22 +118,6 @@ impl Tensor {
         )
     }
 
-    /// Insert a size-1 dimension at `axis` (0..=rank).
-    pub fn unsqueeze(&self, axis: usize) -> Tensor {
-        let mut dims = self.dims().to_vec();
-        assert!(axis <= dims.len());
-        dims.insert(axis, 1);
-        self.reshape(dims)
-    }
-
-    /// Remove a size-1 dimension at `axis`.
-    pub fn squeeze(&self, axis: usize) -> Tensor {
-        let mut dims = self.dims().to_vec();
-        assert_eq!(dims[axis], 1, "squeeze on non-unit axis {axis}");
-        dims.remove(axis);
-        self.reshape(dims)
-    }
-
     /// Reorder dimensions by `axes` (a permutation of `0..rank`).
     pub fn permute(&self, axes: &[usize]) -> Tensor {
         let rank = self.rank();
@@ -296,12 +280,6 @@ impl Tensor {
         )
     }
 
-    /// Stack rank-equal tensors along a new leading axis.
-    pub fn stack(tensors: &[Tensor]) -> Tensor {
-        let unsqueezed: Vec<Tensor> = tensors.iter().map(|t| t.unsqueeze(0)).collect();
-        Tensor::concat(&unsqueezed, 0)
-    }
-
     /// Materialize a broadcast of `self` to `target`.
     pub fn broadcast_to(&self, target: impl Into<Shape>) -> Tensor {
         let target = target.into();
@@ -411,27 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn stack_adds_axis() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0], [2]);
-        let s = Tensor::stack(&[a, b]);
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn broadcast_to_materializes() {
         let x = Tensor::param(vec![1.0, 2.0], [2, 1]);
         let y = x.broadcast_to([2, 3]);
         assert_eq!(y.to_vec(), vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
         y.sum().backward();
         assert_eq!(x.grad().unwrap(), vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn squeeze_unsqueeze() {
-        let x = Tensor::zeros([2, 3]);
-        assert_eq!(x.unsqueeze(1).dims(), &[2, 1, 3]);
-        assert_eq!(x.unsqueeze(1).squeeze(1).dims(), &[2, 3]);
     }
 }

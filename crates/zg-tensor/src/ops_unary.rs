@@ -5,8 +5,8 @@ use crate::tensor::Tensor;
 /// Build a unary elementwise op.
 ///
 /// `f` computes the forward value; `df` computes the local derivative given
-/// `(input, output)` — passing the output lets activations like tanh and
-/// sigmoid reuse the forward result.
+/// `(input, output)` — passing the output lets ops like `rsqrt` reuse the
+/// forward result.
 fn unary_op(x: &Tensor, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Tensor {
     let xd = x.data();
     let mut data = crate::pool::take_cleared(xd.len());
@@ -36,71 +36,14 @@ fn unary_op(x: &Tensor, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + '
 }
 
 impl Tensor {
-    /// Elementwise negation.
-    pub fn neg(&self) -> Tensor {
-        unary_op(self, |x| -x, |_, _| -1.0)
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&self) -> Tensor {
-        unary_op(self, |x| x.exp(), |_, y| y)
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&self) -> Tensor {
-        unary_op(self, |x| x.ln(), |x, _| 1.0 / x)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&self) -> Tensor {
-        unary_op(self, |x| x.sqrt(), |_, y| 0.5 / y)
-    }
-
     /// Elementwise reciprocal square root `1/sqrt(x)`.
     pub fn rsqrt(&self) -> Tensor {
         unary_op(self, |x| 1.0 / x.sqrt(), |x, y| -0.5 * y / x)
     }
 
-    /// Elementwise reciprocal.
-    pub fn recip(&self) -> Tensor {
-        unary_op(self, |x| 1.0 / x, |_, y| -y * y)
-    }
-
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
         unary_op(self, |x| x * x, |x, _| 2.0 * x)
-    }
-
-    /// Elementwise absolute value. Gradient at 0 is 0.
-    pub fn abs(&self) -> Tensor {
-        unary_op(
-            self,
-            |x| x.abs(),
-            |x, _| {
-                if x > 0.0 {
-                    1.0
-                } else if x < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            },
-        )
-    }
-
-    /// Elementwise power with a constant exponent.
-    pub fn powf(&self, p: f32) -> Tensor {
-        unary_op(self, move |x| x.powf(p), move |x, _| p * x.powf(p - 1.0))
-    }
-
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        unary_op(self, |x| x.tanh(), |_, y| 1.0 - y * y)
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        unary_op(self, |x| 1.0 / (1.0 + (-x).exp()), |_, y| y * (1.0 - y))
     }
 
     /// SiLU (a.k.a. swish): `x * sigmoid(x)` — Mistral's activation (Table 3).
@@ -112,20 +55,6 @@ impl Tensor {
                 let s = 1.0 / (1.0 + (-x).exp());
                 s * (1.0 + x * (1.0 - s))
             },
-        )
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Tensor {
-        unary_op(self, |x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
-    }
-
-    /// Clamp values into `[lo, hi]`. Gradient is zero outside the range.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        unary_op(
-            self,
-            move |x| x.clamp(lo, hi),
-            move |x, _| if x >= lo && x <= hi { 1.0 } else { 0.0 },
         )
     }
 
@@ -168,24 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn exp_ln_sqrt_gradcheck() {
-        for &x0 in &[0.5f32, 1.0, 2.0] {
-            let (_, g) = grad_of(|x| x.exp(), x0);
-            assert!((g - numeric_grad(|v| v.exp(), x0)).abs() < 1e-2);
-            let (_, g) = grad_of(|x| x.ln(), x0);
-            assert!((g - numeric_grad(|v| v.ln(), x0)).abs() < 1e-2);
-            let (_, g) = grad_of(|x| x.sqrt(), x0);
-            assert!((g - numeric_grad(|v| v.sqrt(), x0)).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn activations_gradcheck() {
+    fn silu_gradcheck() {
         for &x0 in &[-2.0f32, -0.5, 0.3, 1.7] {
-            let (_, g) = grad_of(|x| x.tanh(), x0);
-            assert!((g - numeric_grad(|v| v.tanh(), x0)).abs() < 1e-2);
-            let (_, g) = grad_of(|x| x.sigmoid(), x0);
-            assert!((g - numeric_grad(|v| 1.0 / (1.0 + (-v).exp()), x0)).abs() < 1e-2);
             let (_, g) = grad_of(|x| x.silu(), x0);
             assert!((g - numeric_grad(|v| v / (1.0 + (-v).exp()), x0)).abs() < 1e-2,);
         }
@@ -196,21 +109,6 @@ mod tests {
         let (y, g) = grad_of(|x| x.rsqrt(), 4.0);
         assert!((y - 0.5).abs() < 1e-6);
         assert!((g - numeric_grad(|v| 1.0 / v.sqrt(), 4.0)).abs() < 1e-3);
-    }
-
-    #[test]
-    fn relu_and_clamp() {
-        let x = Tensor::param(vec![-1.0, 0.5, 2.0], [3]);
-        let y = x.relu();
-        assert_eq!(y.to_vec(), vec![0.0, 0.5, 2.0]);
-        y.sum().backward();
-        assert_eq!(x.grad().unwrap(), vec![0.0, 1.0, 1.0]);
-
-        let z = Tensor::param(vec![-1.0, 0.5, 2.0], [3]);
-        let c = z.clamp(0.0, 1.0);
-        assert_eq!(c.to_vec(), vec![0.0, 0.5, 1.0]);
-        c.sum().backward();
-        assert_eq!(z.grad().unwrap(), vec![0.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -227,20 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn abs_and_square_and_powf() {
-        let (y, g) = grad_of(|x| x.abs(), -3.0);
-        assert_eq!((y, g), (3.0, -1.0));
+    fn square_value_and_grad() {
         let (y, g) = grad_of(|x| x.square(), 3.0);
         assert_eq!((y, g), (9.0, 6.0));
-        let (y, g) = grad_of(|x| x.powf(3.0), 2.0);
-        assert!((y - 8.0).abs() < 1e-5 && (g - 12.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn neg_and_recip() {
-        let (y, g) = grad_of(|x| x.neg(), 2.0);
-        assert_eq!((y, g), (-2.0, -1.0));
-        let (y, g) = grad_of(|x| x.recip(), 2.0);
-        assert!((y - 0.5).abs() < 1e-6 && (g + 0.25).abs() < 1e-5);
     }
 }

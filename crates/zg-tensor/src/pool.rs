@@ -56,17 +56,6 @@ pub struct PoolStats {
     pub retained_elems: u64,
 }
 
-impl PoolStats {
-    /// Fraction of takes served from the free-list, `0.0` when idle.
-    pub fn hit_rate(&self) -> f64 {
-        if self.takes == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.takes as f64
-        }
-    }
-}
-
 #[derive(Default)]
 struct Pool {
     /// Free buffers keyed by their length (capacity may exceed it).
@@ -240,30 +229,21 @@ impl PooledBuf {
         b.fill(v);
         b
     }
-
-    /// Consume the handle, keeping the buffer out of the pool for good
-    /// (ownership passes to the caller).
-    pub fn into_vec(mut self) -> Vec<f32> {
-        checkout_dec();
-        // INVARIANT: `buf` is only `None` after `into_vec`, which consumes
-        // `self`, so it is always present here.
-        self.buf.take().expect("PooledBuf already consumed")
-    }
 }
 
 impl Deref for PooledBuf {
     type Target = Vec<f32>;
     fn deref(&self) -> &Vec<f32> {
-        // INVARIANT: `buf` is only `None` after `into_vec`, which consumes
-        // `self`, so it is always present here.
+        // INVARIANT: `buf` is only `None` once `drop` has taken it, so it
+        // is always present here.
         self.buf.as_ref().expect("PooledBuf already consumed")
     }
 }
 
 impl DerefMut for PooledBuf {
     fn deref_mut(&mut self) -> &mut Vec<f32> {
-        // INVARIANT: `buf` is only `None` after `into_vec`, which consumes
-        // `self`, so it is always present here.
+        // INVARIANT: `buf` is only `None` once `drop` has taken it, so it
+        // is always present here.
         self.buf.as_mut().expect("PooledBuf already consumed")
     }
 }
@@ -480,19 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_removes_buffer_from_pool_custody() {
-        reset();
-        let b = PooledBuf::zeroed(128);
-        let v = b.into_vec();
-        assert_eq!(live_pooled_buffers(), 0);
-        assert_eq!(v.len(), 128);
-        // Dropping the plain Vec does not touch the recycle counter.
-        let before = pool_stats().recycled;
-        drop(v);
-        assert_eq!(pool_stats().recycled, before);
-    }
-
-    #[test]
     fn retained_cap_bounds_free_list() {
         reset();
         let chunk = MAX_RETAINED_ELEMS / 2;
@@ -559,18 +526,5 @@ mod tests {
         assert_eq!(pool_stats().checked_out, 1);
         drop(held);
         assert_eq!(pool_stats().checked_out, 0);
-    }
-
-    #[test]
-    fn hit_rate_is_hits_over_takes() {
-        reset();
-        recycle(vec![0.0; 512]);
-        let a = take_zeroed(512); // hit
-        let b = take_zeroed(512); // miss
-        let s = pool_stats();
-        assert_eq!(s.takes, 2);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-        drop(a);
-        drop(b);
     }
 }

@@ -42,11 +42,6 @@ impl Shape {
         &self.0
     }
 
-    /// Size of dimension `axis` (supports negative indexing).
-    pub fn dim(&self, axis: isize) -> usize {
-        self.0[self.resolve_axis(axis)]
-    }
-
     /// Resolve a possibly-negative axis to a concrete index.
     ///
     /// Panics when the axis is out of range.
@@ -116,19 +111,6 @@ impl Shape {
             }
         }
         out
-    }
-
-    /// The axes of `target` along which `self` was broadcast (stretched),
-    /// including the implicit leading axes. Used to reduce gradients back.
-    pub fn broadcast_axes(&self, target: &Shape) -> Vec<usize> {
-        let offset = target.rank() - self.rank();
-        let mut axes: Vec<usize> = (0..offset).collect();
-        for i in 0..self.rank() {
-            if self.0[i] == 1 && target.0[offset + i] != 1 {
-                axes.push(offset + i);
-            }
-        }
-        axes
     }
 }
 
@@ -227,7 +209,6 @@ mod tests {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.resolve_axis(-1), 2);
         assert_eq!(s.resolve_axis(-3), 0);
-        assert_eq!(s.dim(-1), 4);
     }
 
     #[test]
@@ -267,15 +248,6 @@ mod tests {
         let a = Shape::new(&[3, 1]);
         let t = Shape::new(&[2, 3, 4]);
         assert_eq!(a.broadcast_strides(&t), vec![0, 1, 0]);
-    }
-
-    #[test]
-    fn broadcast_axes_listed() {
-        let a = Shape::new(&[3, 1]);
-        let t = Shape::new(&[2, 3, 4]);
-        assert_eq!(a.broadcast_axes(&t), vec![0, 2]);
-        let same = Shape::new(&[2, 3, 4]);
-        assert!(same.broadcast_axes(&t).is_empty());
     }
 
     #[test]

@@ -1,22 +1,10 @@
-//! `TensorStore`: a named collection of tensors with a compact binary
-//! serialization format (`ZGT1`). Used for model checkpoints — TracIn-style
-//! influence estimation replays gradients at stored checkpoints, so
-//! checkpoint save/load is a first-class citizen here.
-//!
-//! Format (little-endian):
-//! ```text
-//! magic "ZGT1" | u32 entry_count |
-//!   per entry: u32 name_len | name bytes | u32 rank | u32 dims... | f32 data...
-//! ```
+//! `TensorStore`: a named collection of detached tensors, used for model
+//! checkpoints — TracIn-style influence estimation replays gradients at
+//! stored checkpoints.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::path::Path;
 
-use crate::shape::Shape;
 use crate::tensor::Tensor;
-
-const MAGIC: &[u8; 4] = b"ZGT1";
 
 /// Named tensor collection with deterministic (sorted) ordering.
 #[derive(Default)]
@@ -46,146 +34,15 @@ impl TensorStore {
         self.entries.keys().map(String::as_str)
     }
 
-    /// Number of stored tensors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total number of f32 elements across all tensors.
     pub fn numel(&self) -> usize {
         self.entries.values().map(Tensor::numel).sum()
     }
-
-    /// Serialize to any writer.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&(self.entries.len() as u32).to_le_bytes())?;
-        for (name, t) in &self.entries {
-            w.write_all(&(name.len() as u32).to_le_bytes())?;
-            w.write_all(name.as_bytes())?;
-            w.write_all(&(t.rank() as u32).to_le_bytes())?;
-            for &d in t.dims() {
-                w.write_all(&(d as u32).to_le_bytes())?;
-            }
-            let data = t.data();
-            let mut buf = Vec::with_capacity(data.len() * 4);
-            for &v in data.iter() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            w.write_all(&buf)?;
-        }
-        Ok(())
-    }
-
-    /// Deserialize from any reader.
-    pub fn read_from(r: &mut impl Read) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a ZGT1 tensor store",
-            ));
-        }
-        let count = read_u32(r)? as usize;
-        let mut entries = BTreeMap::new();
-        for _ in 0..count {
-            let name_len = read_u32(r)? as usize;
-            let mut name = vec![0u8; name_len];
-            r.read_exact(&mut name)?;
-            let name = String::from_utf8(name)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let rank = read_u32(r)? as usize;
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(read_u32(r)? as usize);
-            }
-            let shape = Shape(dims);
-            let n = shape.numel();
-            // Guard against corrupt headers demanding absurd allocations
-            // (1 GiB of f32 is far beyond any checkpoint in this system).
-            const MAX_ELEMS: usize = 256 * 1024 * 1024;
-            if n > MAX_ELEMS {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("tensor '{name}' claims {n} elements, over the {MAX_ELEMS} cap"),
-                ));
-            }
-            let mut buf = vec![0u8; n * 4];
-            r.read_exact(&mut buf)?;
-            let data: Vec<f32> = buf
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            entries.insert(name, Tensor::from_vec(data, shape));
-        }
-        Ok(TensorStore { entries })
-    }
-
-    /// Save to a file path.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut f)
-    }
-
-    /// Load from a file path.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::read_from(&mut f)
-    }
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_in_memory() {
-        let mut store = TensorStore::new();
-        store.insert("w", &Tensor::from_vec(vec![1.5, -2.5], [2]));
-        store.insert("b", &Tensor::from_vec(vec![0.0; 6], [2, 3]));
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
-        let loaded = TensorStore::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get("w").unwrap().to_vec(), vec![1.5, -2.5]);
-        assert_eq!(loaded.get("b").unwrap().dims(), &[2, 3]);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let buf = b"NOPE\0\0\0\0".to_vec();
-        assert!(TensorStore::read_from(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn rejects_absurd_allocation_claim() {
-        // Header claiming a ~16 PiB tensor must be rejected, not allocated.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"ZGT1");
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one entry
-        buf.extend_from_slice(&1u32.to_le_bytes()); // name len
-        buf.push(b'x');
-        buf.extend_from_slice(&2u32.to_le_bytes()); // rank 2
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&1024u32.to_le_bytes());
-        let err = match TensorStore::read_from(&mut buf.as_slice()) {
-            Err(e) => e,
-            Ok(_) => panic!("absurd allocation claim must be rejected"),
-        };
-        assert!(err.to_string().contains("cap"));
-    }
 
     #[test]
     fn insert_detaches_from_graph() {
@@ -203,19 +60,5 @@ mod tests {
         let names: Vec<&str> = store.names().collect();
         assert_eq!(names, vec!["a", "z"]);
         assert_eq!(store.numel(), 7);
-        assert!(!store.is_empty());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("zg_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.zgt");
-        let mut store = TensorStore::new();
-        store.insert("x", &Tensor::from_vec(vec![9.0, 8.0, 7.0], [3]));
-        store.save(&path).unwrap();
-        let loaded = TensorStore::load(&path).unwrap();
-        assert_eq!(loaded.get("x").unwrap().to_vec(), vec![9.0, 8.0, 7.0]);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -146,11 +146,6 @@ impl Tensor {
         t
     }
 
-    /// Scalar (rank-0) tensor.
-    pub fn scalar(v: f32) -> Self {
-        Self::from_vec(vec![v], Shape::default())
-    }
-
     /// All-zeros tensor.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
@@ -170,11 +165,6 @@ impl Tensor {
         let shape = shape.into();
         let n = shape.numel();
         Self::from_vec(vec![v; n], shape)
-    }
-
-    /// `[0, 1, ..., n-1]` as a rank-1 tensor.
-    pub fn arange(n: usize) -> Self {
-        Self::from_vec((0..n).map(|i| i as f32).collect(), [n])
     }
 
     /// Internal: build an op-output node. When recording is disabled (or no
@@ -374,17 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_item() {
-        assert_eq!(Tensor::scalar(3.5).item(), 3.5);
-        assert_eq!(Tensor::scalar(3.5).rank(), 0);
-    }
-
-    #[test]
-    fn zeros_ones_full_arange() {
+    fn zeros_ones_full() {
         assert_eq!(Tensor::zeros([2, 3]).to_vec(), vec![0.0; 6]);
         assert_eq!(Tensor::ones([3]).to_vec(), vec![1.0; 3]);
         assert_eq!(Tensor::full([2], 7.0).to_vec(), vec![7.0, 7.0]);
-        assert_eq!(Tensor::arange(4).to_vec(), vec![0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

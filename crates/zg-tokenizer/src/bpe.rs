@@ -8,18 +8,15 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vocab::{byte_token, first_merge_id, Special};
 
 /// A trained byte-level BPE tokenizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BpeTokenizer {
     /// Learned merges in rank order: merging `(a, b)` yields token
     /// `first_merge_id() + rank`.
     merges: Vec<(u32, u32)>,
     /// Reverse map for fast encode: pair -> merged id.
-    #[serde(skip)]
     merge_map: BTreeMap<(u32, u32), u32>,
 }
 
@@ -70,8 +67,8 @@ impl BpeTokenizer {
         tok
     }
 
-    /// Rebuild the pair→id lookup (needed after deserialization).
-    pub fn rebuild_merge_map(&mut self) {
+    /// Rebuild the pair→id lookup from the merge list.
+    fn rebuild_merge_map(&mut self) {
         self.merge_map = self
             .merges
             .iter()
@@ -83,11 +80,6 @@ impl BpeTokenizer {
     /// Total vocabulary size: specials + bytes + merges.
     pub fn vocab_size(&self) -> usize {
         first_merge_id() as usize + self.merges.len()
-    }
-
-    /// Number of learned merges.
-    pub fn num_merges(&self) -> usize {
-        self.merges.len()
     }
 
     /// Encode text to token ids (no specials added).
@@ -112,14 +104,6 @@ impl BpeTokenizer {
             merge_in_place(&mut seq, pair, id);
         }
         seq
-    }
-
-    /// Encode and wrap with BOS/EOS.
-    pub fn encode_with_specials(&self, text: &str) -> Vec<u32> {
-        let mut out = vec![Special::Bos.id()];
-        out.extend(self.encode(text));
-        out.push(Special::Eos.id());
-        out
     }
 
     /// Byte expansion of a single token id. Specials expand to their text.
@@ -150,20 +134,6 @@ impl BpeTokenizer {
             }
         }
         String::from_utf8_lossy(&bytes).into_owned()
-    }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        // INVARIANT: BpeTokenizer is a plain data struct (Vec of u32
-        // pairs); serialization cannot fail.
-        serde_json::to_string(self).expect("tokenizer serializes")
-    }
-
-    /// Deserialize from JSON (rebuilds the merge lookup).
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut tok: BpeTokenizer = serde_json::from_str(json)?;
-        tok.rebuild_merge_map();
-        Ok(tok)
     }
 }
 
@@ -214,7 +184,7 @@ mod tests {
         let corpus = ["ababababab", "ababab"]; // "ab" dominates
         let refs: Vec<&str> = corpus.iter().map(|s| &**s).collect();
         let tok = BpeTokenizer::train(&refs, first_merge_id() as usize + 4);
-        assert!(tok.num_merges() >= 1);
+        assert!(tok.vocab_size() > first_merge_id() as usize);
         // First merge should be ('a','b').
         let encoded = tok.encode("ab");
         assert_eq!(encoded.len(), 1, "'ab' should compress to one token");
@@ -244,26 +214,6 @@ mod tests {
         let tok = BpeTokenizer::train(&refs, 500);
         let text = "Answer: Yes number 7";
         assert!(tok.encode(text).len() < text.len());
-    }
-
-    #[test]
-    fn encode_with_specials_brackets() {
-        let tok = BpeTokenizer::byte_level();
-        let ids = tok.encode_with_specials("hi");
-        assert_eq!(ids[0], Special::Bos.id());
-        assert_eq!(*ids.last().unwrap(), Special::Eos.id());
-        assert_eq!(tok.decode(&ids), "hi");
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_encoding() {
-        let corpus = ["the quick brown fox", "the lazy dog", "the the the"];
-        let refs: Vec<&str> = corpus.iter().map(|s| &**s).collect();
-        let tok = BpeTokenizer::train(&refs, 320);
-        let json = tok.to_json();
-        let back = BpeTokenizer::from_json(&json).unwrap();
-        assert_eq!(tok.encode("the quick"), back.encode("the quick"));
-        assert_eq!(tok.vocab_size(), back.vocab_size());
     }
 
     #[test]

@@ -475,11 +475,6 @@ impl Totals {
         self.spans.get(name).map(|s| s.total_s).unwrap_or(0.0)
     }
 
-    /// Number of completed spans named `name` (0 if absent).
-    pub fn span_count(&self, name: &str) -> u64 {
-        self.spans.get(name).map(|s| s.count).unwrap_or(0)
-    }
-
     /// Counter value (0 if absent).
     pub fn counter(&self, name: &str) -> f64 {
         self.counters.get(name).copied().unwrap_or(0.0)
@@ -611,12 +606,12 @@ mod tests {
         }
         let after = tracer.totals();
         let d = after.delta(&before);
-        assert_eq!(d.span_count("phase"), 2);
+        assert_eq!(d.spans["phase"].count, 2);
         assert_eq!(d.counter("n"), 5.0);
         // Each tick-clock span costs its nesting window; what matters is
         // that the pre-existing phase time is subtracted out.
         assert!(d.span_seconds("phase") > 0.0);
-        assert_eq!(before.span_count("phase"), 1);
+        assert_eq!(before.spans["phase"].count, 1);
     }
 
     #[test]
@@ -628,7 +623,7 @@ mod tests {
             let _closed = span("closed");
         }
         let t = tracer.totals();
-        assert_eq!(t.span_count("closed"), 1);
-        assert_eq!(t.span_count("open"), 0);
+        assert_eq!(t.spans["closed"].count, 1);
+        assert!(!t.spans.contains_key("open"));
     }
 }

@@ -42,11 +42,6 @@ impl WindowedHist {
         }
     }
 
-    /// Window width in seconds.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
     /// Window index of time `t`.
     pub fn window_of(&self, t: f64) -> u64 {
         window_of(t, self.width)
@@ -69,16 +64,6 @@ impl WindowedHist {
     /// Non-empty windows in ascending order.
     pub fn windows(&self) -> impl Iterator<Item = (u64, &Hist)> {
         self.shards.iter().map(|(w, h)| (*w, h))
-    }
-
-    /// Element-wise merge of every shard in `from..=to` (an empty
-    /// histogram when the range holds none).
-    pub fn merged_range(&self, from: u64, to: u64) -> Hist {
-        let mut out = Hist::new(&self.edges);
-        for (_, h) in self.shards.range(from..=to) {
-            out.merge(h);
-        }
-        out
     }
 
     /// Drop shards for windows strictly before `min` (bounded memory
@@ -127,11 +112,11 @@ impl WindowedCounter {
     }
 }
 
-/// Tumbling-window gauge: per-window last-observed and peak levels.
+/// Tumbling-window gauge: per-window peak levels.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowedGauge {
     width: f64,
-    shards: BTreeMap<u64, (f64, f64)>,
+    shards: BTreeMap<u64, f64>,
 }
 
 impl WindowedGauge {
@@ -144,25 +129,16 @@ impl WindowedGauge {
         }
     }
 
-    /// Observe level `v` at time `t`: the window's last value becomes
-    /// `v`, its peak becomes `max(peak, v)`.
+    /// Observe level `v` at time `t`: the window's peak becomes
+    /// `max(peak, v)`.
     pub fn set(&mut self, t: f64, v: f64) {
-        let e = self
-            .shards
-            .entry(window_of(t, self.width))
-            .or_insert((v, v));
-        e.0 = v;
-        e.1 = e.1.max(v);
-    }
-
-    /// Last value observed in window `w`, if any.
-    pub fn last(&self, w: u64) -> Option<f64> {
-        self.shards.get(&w).map(|(last, _)| *last)
+        let peak = self.shards.entry(window_of(t, self.width)).or_insert(v);
+        *peak = peak.max(v);
     }
 
     /// Peak value observed in window `w`, if any.
     pub fn max(&self, w: u64) -> Option<f64> {
-        self.shards.get(&w).map(|(_, max)| *max)
+        self.shards.get(&w).copied()
     }
 
     /// Drop shards for windows strictly before `min`.
@@ -185,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn hist_shards_split_by_window_and_merge_by_range() {
+    fn hist_shards_split_by_window() {
         let mut wh = WindowedHist::new(1.0, &[1.0, 10.0]);
         wh.record(0.2, 0.5);
         wh.record(0.9, 5.0);
@@ -194,11 +170,6 @@ mod tests {
         assert_eq!(wh.shard(0).map(|h| h.n), Some(2));
         assert_eq!(wh.shard(1).map(|h| h.n), Some(1));
         assert_eq!(wh.shard(2), None);
-        let merged = wh.merged_range(0, 1);
-        assert_eq!(merged.n, 3);
-        assert_eq!(merged.counts, vec![1, 2, 0]);
-        // Full-range merge equals recording everything into one hist.
-        assert_eq!(wh.merged_range(0, 3).n, 4);
     }
 
     #[test]
@@ -229,14 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_last_and_peak_per_window() {
+    fn gauge_tracks_peak_per_window() {
         let mut g = WindowedGauge::new(1.0);
         g.set(0.1, 5.0);
         g.set(0.2, 9.0);
         g.set(0.3, 2.0);
-        assert_eq!(g.last(0), Some(2.0));
         assert_eq!(g.max(0), Some(9.0));
-        assert_eq!(g.last(1), None);
+        assert_eq!(g.max(1), None);
         g.set(4.0, 1.0);
         g.retain_from(4);
         assert_eq!(g.max(0), None);

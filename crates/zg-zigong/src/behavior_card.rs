@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use zg_data::{Dataset, Record, TaskKind};
+use zg_data::{Dataset, Record};
 use zg_instruct::render_classification;
 
 use crate::evaluator::{CreditClassifier, EvalItem};
@@ -135,17 +135,6 @@ fn reason_codes(record: &Record) -> Vec<String> {
         .filter(|(name, _)| RISKY.contains(&name.as_str()))
         .map(|(name, v)| format!("{name}: {v}"))
         .collect()
-}
-
-/// Default dataset metadata for a standalone behavior-card deployment.
-pub fn behavior_card_meta() -> Dataset {
-    Dataset {
-        name: "Behavior Card".to_string(),
-        task: TaskKind::BehaviorRisk,
-        records: Vec::new(),
-        positive_name: "Yes".to_string(),
-        negative_name: "No".to_string(),
-    }
 }
 
 #[cfg(test)]

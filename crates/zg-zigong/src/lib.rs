@@ -19,7 +19,6 @@ pub mod behavior_card;
 pub mod benchmark;
 pub mod config;
 pub mod corpus;
-pub mod crossval;
 pub mod evaluator;
 pub mod forgetting;
 pub mod pruning;
@@ -27,7 +26,7 @@ pub mod replay;
 pub mod trainer;
 
 pub use baselines::{LogisticExpert, MajorityClass, RandomGuess};
-pub use behavior_card::{behavior_card_meta, AuditEntry, BehaviorCardService, Decision};
+pub use behavior_card::{AuditEntry, BehaviorCardService, Decision};
 pub use benchmark::{
     agent_tracin_scores, balanced_train_records, pruned_mix_records, render_table2, run_table2,
     train_zigong, Table2, Table2Options, Table2Row,
@@ -36,7 +35,6 @@ pub use config::{TrainConfig, ZiGongConfig};
 pub use corpus::{
     collate, to_pretrain_sample, tokenize_all, tokenize_example, train_tokenizer, Sample,
 };
-pub use crossval::{cross_validate, kfold_split, CrossValReport};
 pub use evaluator::{
     eval_items, evaluate_classifier, evaluate_zigong, CellResult, CreditClassifier, DecisionStage,
     EvalItem, ZiGongModel, ZiGongSpec, ANSWER_TOKENS, SCORE_RESERVE,

@@ -111,10 +111,10 @@ pub fn agent_tracseq_scores(
     )
 }
 
-/// [`agent_tracseq_scores`] with explicit engine knobs: worker count and
-/// optional gradient sketching. The sequential SGD fit itself stays
-/// serial (it is inherently order-dependent and cheap); gradient
-/// expansion and scoring fan out across `par.workers`.
+/// [`agent_tracseq_scores`] with an explicit worker count. The
+/// sequential SGD fit itself stays serial (it is inherently
+/// order-dependent and cheap); gradient expansion and scoring fan out
+/// across `par.workers`.
 pub fn agent_tracseq_scores_with(
     train: &[BehaviorSample],
     test: &[(Vec<f32>, bool)],
@@ -177,9 +177,8 @@ pub fn lm_tracseq_scores(
 /// is the dominant cost, and the autograd `Tensor` is not `Send`, so
 /// callers supply `make_lm` — a factory producing a fresh model replica
 /// (same architecture; weights are overwritten from each checkpoint) —
-/// and every worker thread drives its own replica. Exact results are
-/// bit-identical to [`lm_tracseq_scores`]; `par.sketch_dim` additionally
-/// compresses gradients before scoring.
+/// and every worker thread drives its own replica. Results are
+/// bit-identical to [`lm_tracseq_scores`].
 pub fn lm_tracseq_scores_with<F>(
     make_lm: F,
     checkpoints: &[LmCheckpoint],
@@ -216,10 +215,9 @@ pub fn hybrid_selection(
     hybrid_selection_with(train, test, gamma, total, seed, &ParallelConfig::auto())
 }
 
-/// [`hybrid_selection`] with explicit parallel-engine knobs. The random
-/// 70% draw depends only on `seed`, so selections are reproducible for
-/// any `workers`; sketching perturbs the 30% influence-ranked head but
-/// preserves its top-K character (see the rank-preservation test).
+/// [`hybrid_selection`] with an explicit worker count. The random 70%
+/// draw depends only on `seed`, and the scores do not depend on
+/// `workers`, so selections are reproducible for any `workers`.
 pub fn hybrid_selection_with(
     train: &[&Record],
     test: &[&Record],

@@ -93,11 +93,6 @@ impl ReplayBaseline {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// The calibration in use (for tests/inspection).
-    pub fn calibration(&self) -> Calibration {
-        self.cal
-    }
 }
 
 impl CreditClassifier for ReplayBaseline {

@@ -184,11 +184,7 @@ fn toy_checkpoints() -> Vec<CheckpointGrads> {
 fn influence_scores_bitwise_invariant_to_tracing() {
     let checkpoints = toy_checkpoints();
     let cfg = TracConfig::default();
-    let par = ParallelConfig {
-        workers: 2,
-        sketch_dim: Some(8),
-        sketch_seed: 11,
-    };
+    let par = ParallelConfig { workers: 2 };
     let off = influence_scores_with(&checkpoints, &cfg, None, &par);
     let tracer = zg_trace::Tracer::with_clock(zg_trace::tick_clock());
     let on = {
