@@ -19,21 +19,21 @@
 //! 5. **simulation determinism** — two deterministic-clock runs with
 //!    the same seed produce byte-identical zg-trace JSONL;
 //! 6. **ops-plane overhead** — closed-loop wall time with the live ops
-//!    plane enabled stays within 5% of the untraced run (best-of reps),
-//!    with served scores bit-identical on vs off, written to
-//!    `results/serve_ops.json`;
+//!    plane enabled stays within 5% of the untraced run (best-of reps,
+//!    raced round by round), with served scores bit-identical on vs off
+//!    in every round, written to `results/serve_ops.json`;
 //! 7. **SLO-breach smoke** — an overloaded deterministic sim fires the
 //!    deadline-miss burn-rate alert and dumps a complete,
 //!    byte-reproducible post-mortem bundle.
 //!
-//! Exits non-zero if any gate fails, so CI can run `serve_load --quick`
-//! as a smoke test.
+//! Exits non-zero, once every gate has run, if any gate fails, so CI can
+//! run `serve_load --quick` as a smoke test.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zg_bench::{quick_mode, write_result};
+use zg_bench::{quick_mode, race, write_result, Gates, Window};
 use zg_model::{CausalLm, ModelConfig, PrefixStats};
 use zg_serve::{
     drive, poisson_arrivals, poisson_traffic, EchoEngine, EngineConfig, LatencyRecorder,
@@ -211,18 +211,19 @@ fn ops_bench_config() -> OpsConfig {
     }
 }
 
-/// One closed-loop wall-clock run for overhead measurement: the whole
-/// load is submitted up front and ticked to completion, so the wall
-/// time is pure serve work (no open-loop arrival waits diluting the
-/// ops-plane cost). Returns the wall time and the served `(answer, p)`
-/// pairs in request order.
+/// One closed-loop run for overhead measurement: the whole load is
+/// submitted up front and ticked to completion, and `window` times only
+/// that (not the server's start-up or shutdown), so the wall time is
+/// pure serve work (no open-loop arrival waits diluting the ops-plane
+/// cost). Returns the served `(answer, p)` pairs in request order.
 fn timed_closed_loop(
     model: &ZiGongModel,
     combos: &[Combo],
     workers: usize,
     n_requests: usize,
     ops: bool,
-) -> (f64, Vec<(String, f64)>) {
+    window: &mut Window,
+) -> Vec<(String, f64)> {
     let engine = ZiGongEngine::new(
         model.spec(),
         EngineConfig {
@@ -241,14 +242,14 @@ fn timed_closed_loop(
     if ops {
         server.enable_ops(ops_bench_config());
     }
-    let t0 = Instant::now();
+    window.open();
     for i in 0..n_requests {
         server
             .submit(score_request(combos, i))
             .expect("queue sized to the full load");
     }
     let done = server.run_until_idle();
-    let wall = t0.elapsed().as_secs_f64();
+    window.close();
     let mut scores = vec![(String::new(), 0.0); n_requests];
     for c in done {
         match c.result {
@@ -259,7 +260,7 @@ fn timed_closed_loop(
         }
     }
     server.shutdown();
-    (wall, scores)
+    scores
 }
 
 struct SloSmoke {
@@ -522,22 +523,21 @@ fn main() {
     let ops_reps = if quick { 2 } else { 3 };
     let ops_requests = if quick { 32 } else { 96 };
     let ops_overhead_ceiling = 0.05;
-    let mut ops_wall_off = f64::INFINITY;
-    let mut ops_wall_on = f64::INFINITY;
     let mut ops_parity = true;
-    // Alternate untraced/observed reps so drift (cache warmth, CPU
-    // frequency) hits both sides; gate on best-of to shed scheduler
-    // noise, same as the tracer's own overhead benchmark.
-    for _ in 0..ops_reps {
-        let (w_off, s_off) = timed_closed_loop(&model, &combos, workers, ops_requests, false);
-        let (w_on, s_on) = timed_closed_loop(&model, &combos, workers, ops_requests, true);
-        ops_wall_off = ops_wall_off.min(w_off);
-        ops_wall_on = ops_wall_on.min(w_on);
-        ops_parity &= s_off
-            .iter()
-            .zip(&s_on)
-            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-    }
+    let [off, on] = race(
+        ops_reps,
+        [
+            &mut |w| timed_closed_loop(&model, &combos, workers, ops_requests, false, w),
+            &mut |w| timed_closed_loop(&model, &combos, workers, ops_requests, true, w),
+        ],
+        |scores| {
+            ops_parity &= scores[0]
+                .iter()
+                .zip(&scores[1])
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+        },
+    );
+    let (ops_wall_off, ops_wall_on) = (off.secs, on.secs);
     let ops_overhead = (ops_wall_on - ops_wall_off) / ops_wall_off;
     let ops_overhead_ok = ops_overhead <= ops_overhead_ceiling;
     println!(
@@ -628,69 +628,68 @@ fn main() {
     .expect("benchmark serializes");
     write_result("serve_load.json", &out);
 
-    let mut failed = false;
-    if !parity_all {
-        println!("FAIL: served results are not bit-identical to the offline evaluator");
-        failed = true;
-    }
-    if !trace_deterministic {
-        println!("FAIL: seeded simulation traces are not byte-identical");
-        failed = true;
-    }
-    if !audits_clean {
-        println!("FAIL: prefix-lease leak audit");
-        failed = true;
-    }
-    if !hit_rate_ok {
-        println!(
-            "FAIL: prefix hit-token rate {:.1}% below the {:.0}% floor",
+    let mut gates = Gates::default();
+    gates.check(
+        "parity",
+        parity_all,
+        "served results are not bit-identical to the offline evaluator".into(),
+    );
+    gates.check(
+        "determinism",
+        trace_deterministic,
+        "seeded simulation traces are not byte-identical".into(),
+    );
+    gates.check("leak audit", audits_clean, "prefix-lease leak audit".into());
+    gates.check(
+        "hit rate",
+        hit_rate_ok,
+        format!(
+            "prefix hit-token rate {:.1}% below the {:.0}% floor",
             100.0 * main_run.prefix.hit_token_rate(),
             100.0 * min_hit_token_rate
-        );
-        failed = true;
-    }
-    if !p99_ok {
-        println!(
-            "FAIL: p99 {:.3}s exceeds the {p99_ceiling:.3}s ceiling",
+        ),
+    );
+    gates.check(
+        "p99 ceiling",
+        p99_ok,
+        format!(
+            "p99 {:.3}s exceeds the {p99_ceiling:.3}s ceiling",
             main_run.summary.p99
-        );
-        failed = true;
-    }
-    if !beats_baseline {
-        println!(
-            "FAIL: radix p99 {:.3}s worse than no-reuse baseline {:.3}s (+{:.0}% slack)",
+        ),
+    );
+    gates.check(
+        "baseline",
+        beats_baseline,
+        format!(
+            "radix p99 {:.3}s worse than no-reuse baseline {:.3}s (+{:.0}% slack)",
             main_run.summary.p99,
             baseline.summary.p99,
             100.0 * (baseline_slack - 1.0)
-        );
-        failed = true;
-    }
-    if !pressure_evicts {
-        println!("FAIL: eviction-pressure run never evicted (budget {pressure_budget})");
-        failed = true;
-    }
-    if !ops_parity {
-        println!("FAIL: ops plane changed served scores (must be bit-transparent)");
-        failed = true;
-    }
-    if !ops_overhead_ok {
-        println!(
-            "FAIL: ops-plane overhead {:.2}% exceeds the {:.0}% ceiling",
+        ),
+    );
+    gates.check(
+        "eviction pressure",
+        pressure_evicts,
+        format!("eviction-pressure run never evicted (budget {pressure_budget})"),
+    );
+    gates.check(
+        "ops parity",
+        ops_parity,
+        "ops plane changed served scores (must be bit-transparent)".into(),
+    );
+    gates.check(
+        "ops overhead",
+        ops_overhead_ok,
+        format!(
+            "ops-plane overhead {:.2}% exceeds the {:.0}% ceiling",
             100.0 * ops_overhead,
             100.0 * ops_overhead_ceiling
-        );
-        failed = true;
-    }
-    if !smoke_ok {
-        println!(
-            "FAIL: SLO-breach smoke (alert must fire with a complete, deterministic post-mortem)"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "serve_load gates passed: parity, determinism, leak audit, hit rate, p99 ceiling, baseline, eviction pressure, ops overhead, SLO smoke"
+        ),
     );
+    gates.check(
+        "SLO smoke",
+        smoke_ok,
+        "alert must fire with a complete, deterministic post-mortem".into(),
+    );
+    gates.finish("serve_load");
 }

@@ -5,26 +5,26 @@
 //!
 //! - `trace_report --report <trace.jsonl>`: parse an existing trace and
 //!   print its self-time report (span tree, per-phase totals, counters).
-//! - `trace_report [--quick]` (capture mode): run the SFT + evaluation
-//!   workload once untraced and once under a wall-clock tracer, then
+//! - `trace_report [--quick]` (capture mode): race the SFT + evaluation
+//!   workload untraced against the same workload under a wall-clock
+//!   tracer, round by round, then
 //!
 //!   1. check the traced run's losses, final weights, and eval metrics
-//!      are **bit-identical** to the untraced run (observation must be
-//!      behaviorally free),
+//!      are **bit-identical** to the untraced run in every round
+//!      (observation must be behaviorally free),
 //!   2. check tracing overhead stays under the pinned threshold,
 //!   3. write `results/zigong_trace.jsonl` (the trace),
 //!      `results/zigong_trace_chrome.json` (chrome://tracing view),
 //!      `results/trace_report.txt` (rendered report), and
 //!      `results/trace_overhead.json` (the overhead audit).
 //!
-//! The binary exits nonzero on a parity break or an overhead breach, so
-//! CI can run `trace_report --quick` as a regression gate.
-
-use std::time::Instant;
+//! The binary exits nonzero, once every gate has run, on a parity break,
+//! an overhead breach or a trace that does not survive its JSONL
+//! roundtrip, so CI can run `trace_report --quick` as a regression gate.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zg_bench::{arg_value, quick_mode, write_result};
+use zg_bench::{arg_value, cell_bits, quick_mode, race, write_result, Gates};
 use zg_model::{CausalLm, ModelConfig};
 use zg_trace::{render_report, Trace, Tracer};
 use zg_zigong::{
@@ -44,6 +44,14 @@ struct Outputs {
     losses: Vec<f64>,
     weights: Vec<Vec<f32>>,
     cell: CellResult,
+}
+
+impl Outputs {
+    fn bit_identical(&self, other: &Outputs) -> bool {
+        self.losses == other.losses
+            && self.weights == other.weights
+            && cell_bits(&self.cell) == cell_bits(&other.cell)
+    }
 }
 
 fn workload(samples: &[zg_zigong::Sample], vocab: usize, quick: bool) -> Outputs {
@@ -129,54 +137,42 @@ fn main() {
     let samples = tokenize_all(&tokenizer, &examples, 64);
     let vocab = tokenizer.vocab_size();
 
-    // Untraced baseline.
-    let mut off_s = f64::INFINITY;
-    let mut off = None;
-    for _ in 0..reps {
-        zg_tensor::clear_pool();
-        let t0 = Instant::now();
-        let out = workload(&samples, vocab, quick);
-        off_s = off_s.min(t0.elapsed().as_secs_f64());
-        off = Some(out);
-    }
-    let off = off.expect("baseline ran");
-    println!("untraced: {off_s:.3}s");
-
-    // Traced run under a real clock; keep the last captured trace.
-    let mut on_s = f64::INFINITY;
-    let mut on = None;
-    let mut trace = None;
-    for _ in 0..reps {
-        zg_tensor::clear_pool();
-        let tracer = Tracer::with_clock(zg_trace::wall_clock());
-        let t0 = Instant::now();
-        let out = {
-            let _root = tracer.install("zigong");
-            workload(&samples, vocab, quick)
-        };
-        on_s = on_s.min(t0.elapsed().as_secs_f64());
-        on = Some(out);
-        trace = Some(tracer.finish());
-    }
-    let on = on.expect("traced run ran");
-    let trace = trace.expect("trace captured");
+    let mut parity = true;
+    let [off, on] = race(
+        reps,
+        [
+            &mut |w| {
+                zg_tensor::clear_pool();
+                w.open();
+                (workload(&samples, vocab, quick), None)
+            },
+            // Traced under a real clock; the fastest run's trace is kept.
+            &mut |w| {
+                zg_tensor::clear_pool();
+                let tracer = Tracer::with_clock(zg_trace::wall_clock());
+                w.open();
+                let out = {
+                    let _root = tracer.install("zigong");
+                    workload(&samples, vocab, quick)
+                };
+                w.close();
+                (out, Some(tracer.finish()))
+            },
+        ],
+        // 1. Bitwise parity: tracing must be an observer, not a participant.
+        |runs| parity &= runs[0].0.bit_identical(&runs[1].0),
+    );
+    let (off_s, on_s) = (off.secs, on.secs);
+    let trace = on.out.1.expect("the traced side returns its trace");
     let overhead = (on_s - off_s) / off_s;
+    println!("untraced: {off_s:.3}s");
     println!("traced:   {on_s:.3}s  (overhead {:+.2}%)", overhead * 100.0);
-
-    // 1. Bitwise parity: tracing must be an observer, not a participant.
-    let parity = off.losses == on.losses
-        && off.weights == on.weights
-        && off.cell.eval.acc == on.cell.eval.acc
-        && off.cell.eval.f1 == on.cell.eval.f1
-        && off.cell.eval.miss == on.cell.eval.miss
-        && off.cell.ks == on.cell.ks
-        && off.cell.auc == on.cell.auc;
 
     // 2. Artifacts. The JSONL roundtrips through the parser before the
     // report is rendered, so the written file is proven self-describing.
     let jsonl = trace.to_jsonl();
-    let reparsed = Trace::from_jsonl(&jsonl).expect("captured trace must roundtrip");
-    assert_eq!(reparsed.to_jsonl(), jsonl, "trace JSONL roundtrip drifted");
+    let reparsed = Trace::from_jsonl(&jsonl).expect("captured trace must parse");
+    let roundtrip = reparsed.to_jsonl() == jsonl;
     write_result("zigong_trace.jsonl", &jsonl);
     write_result("zigong_trace_chrome.json", &trace.to_chrome_json());
     let report = render_report(&reparsed);
@@ -198,16 +194,26 @@ fn main() {
         &serde_json::to_string_pretty(&audit).expect("serialize audit"),
     );
 
-    // 3. Gate.
-    assert!(parity, "traced run diverged bitwise from the untraced run");
-    assert!(
+    // 3. Gates.
+    let mut gates = Gates::default();
+    gates.check(
+        "bitwise parity",
+        parity,
+        "traced run diverged bitwise from the untraced run".into(),
+    );
+    gates.check(
+        "overhead ceiling",
         overhead <= OVERHEAD_THRESHOLD_FRAC,
-        "tracing overhead {:.2}% exceeds the pinned {:.0}% ceiling",
-        overhead * 100.0,
-        OVERHEAD_THRESHOLD_FRAC * 100.0
+        format!(
+            "tracing overhead {:.2}% exceeds the pinned {:.0}% ceiling",
+            overhead * 100.0,
+            OVERHEAD_THRESHOLD_FRAC * 100.0
+        ),
     );
-    println!(
-        "parity: bit-identical; overhead within {:.0}% ceiling",
-        OVERHEAD_THRESHOLD_FRAC * 100.0
+    gates.check(
+        "trace roundtrip",
+        roundtrip,
+        "trace JSONL drifted through parse and re-emit".into(),
     );
+    gates.finish("trace_report");
 }

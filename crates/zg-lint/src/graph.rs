@@ -40,8 +40,8 @@ use crate::model::{CallKind, CallSite, FileModel, FnItem};
 /// rather than over-approximated: linking every workspace method named
 /// `sum` would wire every `xs.iter().sum()` into `Tensor::sum` and
 /// drown the reachability rules in false paths. Distinctively-named
-/// methods (`prefill`, `log_softmax`, ...) keep the conservative
-/// link-to-all fallback.
+/// methods (`prefill`, `cross_entropy_logits`, ...) keep the
+/// conservative link-to-all fallback.
 const STD_METHOD_NAMES: [&str; 48] = [
     "abs", "ceil", "clamp", "clear", "clone", "collect", "contains", "count", "drain", "entry",
     "exp", "extend", "filter", "find", "first", "floor", "fold", "get", "insert", "is_empty",
@@ -516,10 +516,10 @@ pub fn c(x: Mystery) { x.enqueue(); }
 pub struct Tensor;
 impl Tensor {
     pub fn sum(&self) {}
-    pub fn log_softmax(&self) {}
+    pub fn cross_entropy_logits(&self) {}
 }
 pub fn iter_sum(xs: Vec<f32>) -> f32 { xs.iter().sum() }
-pub fn model_call(x: Mystery) { x.log_softmax(); }
+pub fn model_call(x: Mystery) { x.cross_entropy_logits(); }
 ";
         let g = link(&[("a.rs", src)]);
         // `sum` collides with `Iterator::sum`: an unresolved receiver
@@ -528,7 +528,7 @@ pub fn model_call(x: Mystery) { x.log_softmax(); }
         // Distinctive names keep the conservative fallback.
         assert_eq!(
             g.edges[g.find("model_call")[0]],
-            vec![g.find("Tensor::log_softmax")[0]]
+            vec![g.find("Tensor::cross_entropy_logits")[0]]
         );
     }
 

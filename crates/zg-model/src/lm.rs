@@ -246,8 +246,9 @@ impl CausalLm {
     ///
     /// Each fork is a cheap per-layer `Rc` copy of the cached K/V
     /// buffers; only the continuation tokens are then teacher-forced
-    /// through cached steps. Relative to the historical full-sequence
-    /// forward per candidate this drops the cost from
+    /// through cached steps. Relative to a full-sequence forward per
+    /// candidate ([`CausalLm::score_continuation_full`]) this drops the
+    /// cost from
     /// `n_candidates · O((t_p + t_c)²)` to `O(t_p²) + n_candidates ·
     /// O(t_c)` attention work — and the log-softmax is computed row-wise
     /// on exactly the needed positions (`O(|cont|·V)`, not `O(t·V)`).
@@ -296,12 +297,10 @@ impl CausalLm {
     }
 
     /// Reference implementation of [`CausalLm::score_continuation`]: one
-    /// full forward over `prompt ++ continuation` with no KV reuse.
-    /// Kept as the oracle for the prefix-reuse regression tests and as
-    /// the pre-fast-path baseline in the inference benchmarks. Unlike
-    /// the historical version it computes row-wise log-softmax only at
-    /// the continuation positions instead of materializing the full
-    /// `(t, vocab)` log-softmax.
+    /// full forward over `prompt ++ continuation` with no KV reuse,
+    /// reading log-probabilities only at the continuation positions. The
+    /// oracle of the prefix-reuse regression tests; the inference
+    /// benchmark times KV reuse against it on the same GEMM kernel.
     pub fn score_continuation_full(&self, prompt: &[u32], continuation: &[u32]) -> f32 {
         assert!(!prompt.is_empty() && !continuation.is_empty());
         let _leak = GraphLeakGuard::new("CausalLm::score_continuation_full");
@@ -364,9 +363,8 @@ impl CausalLm {
     }
 }
 
-/// Log-probability of class `tok` under a single row of logits —
-/// numerically identical to `log_softmax()[tok]` (same max-shift and
-/// summation order) without materializing the full row of outputs.
+/// Log-probability of class `tok` under a single row of logits: the
+/// max-shifted log-sum-exp, without materializing the row's log-softmax.
 pub fn log_prob_row(logits: &[f32], tok: usize) -> f32 {
     let m = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let lse = m + logits.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();

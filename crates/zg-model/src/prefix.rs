@@ -90,7 +90,6 @@ impl PrefixStats {
 /// root to that node.
 struct Entry {
     cache: KvCache,
-    logits: Vec<f32>,
     refs: usize,
     /// Monotonic recency stamp (updated on acquire), for deterministic
     /// least-recently-used eviction.
@@ -377,7 +376,6 @@ impl PrefixPool {
                     PrefixBlock {
                         pool: Rc::clone(&self.inner),
                         node: idx,
-                        len,
                     },
                     len,
                 ))
@@ -403,11 +401,11 @@ impl PrefixPool {
         matched.min(prompt.len().saturating_sub(1))
     }
 
-    /// Insert the KV state (and next-token logits) of a freshly
-    /// prefilled prefix under `key`, returning a lease on it. Inserting
-    /// over an existing key replaces its cache/logits while preserving
-    /// outstanding leases (they only pin the refcount, not the tensors).
-    pub fn insert(&self, key: &[u32], cache: KvCache, logits: Vec<f32>) -> PrefixBlock {
+    /// Insert the KV state of a freshly prefilled prefix under `key`,
+    /// returning a lease on it. Inserting over an existing key replaces
+    /// its cache while preserving outstanding leases (they only pin the
+    /// refcount, not the tensors).
+    pub fn insert(&self, key: &[u32], cache: KvCache) -> PrefixBlock {
         assert!(!key.is_empty(), "prefix key must be non-empty");
         assert_eq!(
             cache.pos,
@@ -424,14 +422,12 @@ impl PrefixPool {
         match node.entry.as_mut() {
             Some(e) => {
                 e.cache = cache;
-                e.logits = logits;
                 e.refs += 1;
                 e.last_used = tick;
             }
             None => {
                 node.entry = Some(Entry {
                     cache,
-                    logits,
                     refs: 1,
                     last_used: tick,
                 });
@@ -444,7 +440,6 @@ impl PrefixPool {
         PrefixBlock {
             pool: Rc::clone(&self.inner),
             node: idx,
-            len: key.len(),
         }
     }
 
@@ -489,15 +484,15 @@ impl PrefixPool {
 pub struct PrefixBlock {
     pool: Rc<RefCell<Inner>>,
     node: usize,
-    len: usize,
 }
 
 impl PrefixBlock {
-    /// Fork the cached KV state for private extension, together with a
-    /// copy of the next-token logits after the prefix. The fork is a
+    /// Fork the cached KV state for private extension. The fork is a
     /// cheap per-layer `Rc` copy ([`KvCache::fork`]); extending it never
-    /// mutates the pooled entry.
-    pub fn fork(&self) -> (KvCache, Vec<f32>) {
+    /// mutates the pooled entry. No next-token logits are kept: a lease
+    /// covers a strict prefix of its prompt, so the caller always
+    /// prefills at least one more token and gets fresh logits.
+    pub fn fork(&self) -> KvCache {
         let inner = self.pool.borrow();
         // INVARIANT: a live lease pins its entry — eviction skips entries
         // with refs > 0 and drop is the only place refs reach 0 — and edge
@@ -507,18 +502,7 @@ impl PrefixBlock {
             .as_ref()
             // INVARIANT: the lease above pins the entry resident.
             .expect("leased entry resident");
-        (e.cache.fork(), e.logits.clone())
-    }
-
-    /// Token length of the prefix this lease covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the lease covers an empty prefix (never true: keys are
-    /// non-empty by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        e.cache.fork()
     }
 }
 
@@ -600,14 +584,13 @@ mod tests {
         assert_eq!(pool.shared_prefix_len(&prompt), 0);
 
         let mut cache = lm.new_cache();
-        let logits = lm.prefill(&prompt[..6], &mut cache);
-        let lease = pool.insert(&prompt[..6], cache, logits);
+        lm.prefill(&prompt[..6], &mut cache);
+        let lease = pool.insert(&prompt[..6], cache);
         drop(lease);
 
         let (block, len) = pool.acquire(&prompt).expect("warm pool hits");
         assert_eq!(len, 6);
-        assert_eq!(block.len(), 6);
-        let (mut fork, row) = block.fork();
+        let mut fork = block.fork();
         assert_eq!(fork.pos, 6);
         let rest = lm.prefill(&prompt[6..], &mut fork);
 
@@ -615,10 +598,6 @@ mod tests {
         let mut whole = lm.new_cache();
         let full = lm.prefill(&prompt, &mut whole);
         assert_eq!(rest, full);
-        // The stored logits are the prefix's own next-token row.
-        let mut prefix_only = lm.new_cache();
-        let expect_row = lm.prefill(&prompt[..6], &mut prefix_only);
-        assert_eq!(row, expect_row);
 
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
@@ -633,8 +612,8 @@ mod tests {
         let pool = PrefixPool::new(4096);
         let prompt = toks(8, 2);
         let mut cache = lm.new_cache();
-        let logits = lm.prefill(&prompt, &mut cache);
-        let _lease = pool.insert(&prompt, cache, logits);
+        lm.prefill(&prompt, &mut cache);
+        let _lease = pool.insert(&prompt, cache);
         // The full prompt is cached, but acquire demands a strict prefix.
         assert!(pool.acquire(&prompt).is_none());
         // Likewise the structural LCP is clamped strictly below.
@@ -654,8 +633,8 @@ mod tests {
         let pool = PrefixPool::new(4096);
         let a: Vec<u32> = (0..16).collect();
         let mut cache = lm.new_cache();
-        let logits = lm.prefill(&a, &mut cache);
-        drop(pool.insert(&a, cache, logits));
+        lm.prefill(&a, &mut cache);
+        drop(pool.insert(&a, cache));
         // Borrower B shares 10 tokens then diverges: structural LCP is
         // 10, but no *entry* lives at 10 yet, so acquire misses while
         // shared_prefix_len pinpoints the divergence boundary.
@@ -666,8 +645,8 @@ mod tests {
         // Seeding an entry at the divergence point (what the serving
         // engine does) turns every later same-template request into a hit.
         let mut cache = lm.new_cache();
-        let logits = lm.prefill(&b[..10], &mut cache);
-        drop(pool.insert(&b[..10], cache, logits));
+        lm.prefill(&b[..10], &mut cache);
+        drop(pool.insert(&b[..10], cache));
         let (_, len) = pool.acquire(&b).expect("header entry hits");
         assert_eq!(len, 10);
         // And the original full-prefix entry still wins for prompts that
@@ -685,8 +664,8 @@ mod tests {
         let prompt = toks(12, 3);
         for k in [3usize, 7] {
             let mut c = lm.new_cache();
-            let l = lm.prefill(&prompt[..k], &mut c);
-            drop(pool.insert(&prompt[..k], c, l));
+            lm.prefill(&prompt[..k], &mut c);
+            drop(pool.insert(&prompt[..k], c));
         }
         let (_, len) = pool.acquire(&prompt).expect("hit");
         assert_eq!(len, 7, "longest cached prefix wins");
@@ -700,15 +679,15 @@ mod tests {
         let mk = |salt: usize| {
             let p = toks(6, salt);
             let mut c = lm.new_cache();
-            let l = lm.prefill(&p, &mut c);
-            (p, c, l)
+            lm.prefill(&p, &mut c);
+            (p, c)
         };
-        let (p1, c1, l1) = mk(1);
-        let (p2, c2, l2) = mk(2);
-        let (p3, c3, l3) = mk(3);
-        let lease1 = pool.insert(&p1, c1, l1);
-        let lease2 = pool.insert(&p2, c2, l2);
-        let lease3 = pool.insert(&p3, c3, l3);
+        let (p1, c1) = mk(1);
+        let (p2, c2) = mk(2);
+        let (p3, c3) = mk(3);
+        let lease1 = pool.insert(&p1, c1);
+        let lease2 = pool.insert(&p2, c2);
+        let lease3 = pool.insert(&p3, c3);
         // All three leased: nothing evictable, pool exceeds its budget.
         assert_eq!(pool.stats().entries, 3);
         assert_eq!(pool.stats().live_leases, 3);
@@ -732,15 +711,15 @@ mod tests {
         for salt in 1..=2usize {
             let p = toks(6, salt);
             let mut c = lm.new_cache();
-            let l = lm.prefill(&p, &mut c);
-            drop(pool.insert(&p, c, l));
+            lm.prefill(&p, &mut c);
+            drop(pool.insert(&p, c));
         }
         // Touch entry 1 so entry 2 becomes least recently used.
         drop(pool.acquire(&toks(8, 1)).expect("hit"));
         let p3 = toks(6, 3);
         let mut c = lm.new_cache();
-        let l = lm.prefill(&p3, &mut c);
-        drop(pool.insert(&p3, c, l));
+        lm.prefill(&p3, &mut c);
+        drop(pool.insert(&p3, c));
         assert!(pool.acquire(&toks(8, 1)).is_some(), "recently used kept");
         assert!(pool.acquire(&toks(8, 2)).is_none(), "LRU entry evicted");
         assert!(pool.acquire(&toks(8, 3)).is_some());
@@ -755,14 +734,14 @@ mod tests {
         let pool = PrefixPool::new(8);
         let p1 = toks(8, 1);
         let mut c = lm.new_cache();
-        let l = lm.prefill(&p1, &mut c);
-        drop(pool.insert(&p1, c, l));
+        lm.prefill(&p1, &mut c);
+        drop(pool.insert(&p1, c));
         assert_eq!(pool.stats().resident_tokens, 8);
         // Budget 8: inserting another 8-token entry evicts the first.
         let p2 = toks(8, 2);
         let mut c = lm.new_cache();
-        let l = lm.prefill(&p2, &mut c);
-        drop(pool.insert(&p2, c, l));
+        lm.prefill(&p2, &mut c);
+        drop(pool.insert(&p2, c));
         assert_eq!(pool.stats().entries, 1);
         assert_eq!(pool.stats().evictions, 1);
         assert!(pool.acquire(&toks(9, 1)).is_none());
@@ -780,15 +759,15 @@ mod tests {
         let pool = PrefixPool::new(64);
         let p = toks(10, 4);
         let mut c = lm.new_cache();
-        let l = lm.prefill(&p[..5], &mut c);
-        let seed_lease = pool.insert(&p[..5], c, l);
+        lm.prefill(&p[..5], &mut c);
+        let seed_lease = pool.insert(&p[..5], c);
         let mut leases: Vec<PrefixBlock> =
             (0..8).map(|_| pool.acquire(&p).expect("hit").0).collect();
         assert_eq!(pool.stats().live_leases, 9);
         // Interleaved release: evens first, then odds, then the seed.
         for i in (0..8).step_by(2).chain((1..8).step_by(2)) {
             // Forks taken mid-release must stay valid.
-            let (fork, _) = leases[i].fork();
+            let fork = leases[i].fork();
             assert_eq!(fork.pos, 5);
             leases.push(pool.acquire(&p).expect("still resident").0);
         }
@@ -807,20 +786,23 @@ mod tests {
         let pool = PrefixPool::new(4096);
         let deep: Vec<u32> = (0..12).collect();
         let mut c = lm.new_cache();
-        let l = lm.prefill(&deep, &mut c);
-        let lease = pool.insert(&deep, c, l.clone());
+        lm.prefill(&deep, &mut c);
+        let lease = pool.insert(&deep, c);
         // Insert a key that forces a split inside the 12-token edge.
         let shallow: Vec<u32> = (0..5).collect();
         let mut c = lm.new_cache();
-        let l5 = lm.prefill(&shallow, &mut c);
-        drop(pool.insert(&shallow, c, l5));
-        // The original lease still forks the deep entry.
-        let (fork, row) = lease.fork();
-        assert_eq!(fork.pos, 12);
-        assert_eq!(row, l);
-        // Both entries are found at their lengths.
+        lm.prefill(&shallow, &mut c);
+        drop(pool.insert(&shallow, c));
+        // The original lease still forks the deep entry's KV state: one
+        // more token on the fork reproduces a whole-prompt prefill.
         let mut probe = deep.clone();
         probe.push(39);
+        let mut fork = lease.fork();
+        assert_eq!(fork.pos, 12);
+        let next = lm.prefill(&probe[12..], &mut fork);
+        let mut whole = lm.new_cache();
+        assert_eq!(next, lm.prefill(&probe, &mut whole));
+        // Both entries are found at their lengths.
         let (_, len) = pool.acquire(&probe).expect("deep hit");
         assert_eq!(len, 12);
         let probe6: Vec<u32> = (0..6).collect();
@@ -837,8 +819,8 @@ mod tests {
         let pool = PrefixPool::new(64);
         let p = toks(6, 5);
         let mut c = lm.new_cache();
-        let l = lm.prefill(&p, &mut c);
-        let _leak = pool.insert(&p, c, l);
+        lm.prefill(&p, &mut c);
+        let _leak = pool.insert(&p, c);
         pool.assert_quiescent();
     }
 }

@@ -80,11 +80,11 @@ proptest! {
         let lm = tiny_lm();
         let pool = PrefixPool::new(1 << 20);
         for k in &keys {
-            drop(pool.insert(k, fake_cache(&lm, k.len()), Vec::new()));
+            drop(pool.insert(k, fake_cache(&lm, k.len())));
         }
         for p in &probes {
             let got = pool.acquire(p).map(|(block, len)| {
-                prop_assert_eq!(block.len(), len);
+                prop_assert_eq!(block.fork().pos, len);
                 Ok(len)
             }).transpose()?;
             let want = oracle_longest_strict_prefix(&keys, p);
@@ -109,7 +109,8 @@ proptest! {
     fn lease_refcounts_are_sound(keys in keys(), script in prop::collection::vec(0usize..96, 0..64)) {
         let lm = tiny_lm();
         let pool = PrefixPool::new(1 << 20);
-        let mut held: Vec<PrefixBlock> = Vec::new();
+        // Each held lease with the prefix length it covers.
+        let mut held: Vec<(PrefixBlock, usize)> = Vec::new();
         // Each script step packs an operation (mod 3) and an index pick.
         for step in script {
             let (op, pick) = (step % 3, step / 3);
@@ -117,7 +118,7 @@ proptest! {
                 // Insert a key (lease held).
                 0 => {
                     let k = &keys[pick % keys.len()];
-                    held.push(pool.insert(k, fake_cache(&lm, k.len()), Vec::new()));
+                    held.push((pool.insert(k, fake_cache(&lm, k.len())), k.len()));
                 }
                 // Acquire with a probe extending a key (lease on a hit).
                 1 => {
@@ -125,7 +126,7 @@ proptest! {
                     p.push(39);
                     if let Some((block, len)) = pool.acquire(&p) {
                         prop_assert!(len < p.len());
-                        held.push(block);
+                        held.push((block, len));
                     }
                 }
                 // Release from the middle (non-LIFO).
@@ -136,9 +137,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(pool.stats().live_leases, held.len());
-            for lease in &held {
-                let (fork, _) = lease.fork();
-                prop_assert_eq!(fork.pos, lease.len());
+            for (lease, len) in &held {
+                prop_assert_eq!(lease.fork().pos, *len);
             }
         }
         held.clear();
@@ -157,23 +157,22 @@ proptest! {
     ) {
         let lm = tiny_lm();
         let pool = PrefixPool::new(budget);
-        let mut held: Vec<PrefixBlock> = Vec::new();
+        let mut held: Vec<(PrefixBlock, usize)> = Vec::new();
         for (i, k) in keys.iter().enumerate() {
-            let lease = pool.insert(k, fake_cache(&lm, k.len()), Vec::new());
+            let lease = pool.insert(k, fake_cache(&lm, k.len()));
             if hold_mask & (1 << (i % 12)) != 0 {
-                held.push(lease);
+                held.push((lease, k.len()));
             }
             // Every held lease survives whatever eviction just ran: its
             // entry is still resident and forks at the right position.
-            for lease in &held {
-                let (fork, _) = lease.fork();
-                prop_assert_eq!(fork.pos, lease.len());
+            for (lease, len) in &held {
+                prop_assert_eq!(lease.fork().pos, *len);
             }
         }
         held.clear();
         // A final (unleased) insert triggers enforcement with nothing
         // pinned: the pool must fit its budget again.
-        drop(pool.insert(&[0, 1, 2], fake_cache(&lm, 3), Vec::new()));
+        drop(pool.insert(&[0, 1, 2], fake_cache(&lm, 3)));
         let s = pool.stats();
         prop_assert!(
             s.resident_tokens <= budget,
@@ -197,7 +196,7 @@ proptest! {
                 match op {
                     0 => {
                         let k = &keys[pick % keys.len()];
-                        drop(pool.insert(k, fake_cache(&lm, k.len()), Vec::new()));
+                        drop(pool.insert(k, fake_cache(&lm, k.len())));
                     }
                     _ => {
                         let mut p = keys[pick % keys.len()].clone();

@@ -245,7 +245,7 @@ fn prefill_shared(
     let mut leases = Vec::new();
     let (mut cache, mut from) = match pool.acquire(ids) {
         Some((block, len)) => {
-            let (cache, _prefix_logits) = block.fork();
+            let cache = block.fork();
             leases.push(block);
             (cache, len)
         }
@@ -257,10 +257,10 @@ fn prefill_shared(
         }
         // INVARIANT: from < b < ids.len() by the guard above, so the chunk
         // and key slices are in bounds and non-empty.
-        let row = lm.prefill(&ids[from..b], &mut cache);
+        lm.prefill(&ids[from..b], &mut cache);
         // INVARIANT: b < ids.len() by the same guard, so the key slice is
         // in bounds.
-        leases.push(pool.insert(&ids[..b], cache.fork(), row));
+        leases.push(pool.insert(&ids[..b], cache.fork()));
         from = b;
     }
     // INVARIANT: every accepted boundary is < ids.len(), so at least one

@@ -153,11 +153,6 @@ impl BoundedQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Admission capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! path and an optimized path that performs the *same floating-point
 //! operations in the same order* (or skips work whose result is provably
 //! discarded, such as gradients of frozen parameters). The optimized paths
-//! are on by default; benchmarks pin them off to measure the reference
-//! behavior, and parity tests pin them both ways to prove bit-identity.
+//! are on by default. Parity tests pin them both ways to prove
+//! bit-identity, and the training gate benchmark times the fast paths
+//! against the reference paths they must reproduce.
 //!
 //! This mirrors [`crate::set_gemm_kernel`]: per-thread state so concurrent
 //! training workers and benchmark stages don't interfere.

@@ -12,7 +12,7 @@
 //! - Batched matmul with broadcastable batch dimensions, over one f32
 //!   GEMM family: the naive oracle and a bit-identical SIMD fast path
 //!   ([`gemm`], [`GemmKernel`]).
-//! - Fused softmax / log-softmax / cross-entropy kernels.
+//! - Fused softmax / cross-entropy kernels.
 //! - [`Tensor::custom`] — define new differentiable ops downstream.
 //! - [`no_grad`] scopes for tape-free inference.
 //! - [`TensorStore`] — named checkpoints (TracIn replays gradients at
@@ -51,8 +51,8 @@ pub use ops_matmul::{
     GemmKernel,
 };
 pub use pool::{
-    clear_pool, live_pooled_buffers, pool_stats, pool_stats_scope, reset_pool_stats,
-    set_pool_enabled, PoolStats, PoolStatsScope, PooledBuf,
+    clear_pool, live_pooled_buffers, pool_stats, pool_stats_scope, reset_pool_stats, PoolStats,
+    PoolStatsScope, PooledBuf,
 };
 pub use shape::{Shape, StridedIter};
 pub use simd::{gemm_simd, gemm_simd_with_threads, simd_available};

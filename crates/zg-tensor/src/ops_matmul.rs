@@ -34,9 +34,9 @@ use crate::tensor::Tensor;
 
 /// Which GEMM kernel [`gemm`] dispatches to. Thread-local; defaults to
 /// [`default_gemm_kernel`] ([`GemmKernel::Auto`] unless overridden by
-/// the `ZG_GEMM_KERNEL` env var). The benchmark binaries pin
-/// [`GemmKernel::Naive`] to measure the pre-fast-path baseline on the
-/// same build.
+/// the `ZG_GEMM_KERNEL` env var). Parity tests pin [`GemmKernel::Naive`]
+/// to run the oracle, and the gate benchmarks time the fast path
+/// against it on the same build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
     /// Original scalar triple loops, always (the reference oracle).

@@ -1,4 +1,4 @@
-//! Fused neural-network operations: softmax, log-softmax, cross-entropy
+//! Fused neural-network operations: softmax, cross-entropy
 //! over logits, embedding row gather — plus the [`Tensor::custom`] escape
 //! hatch that lets downstream crates (e.g. RoPE in `zg-model`) define their
 //! own differentiable ops.
@@ -70,47 +70,6 @@ impl Tensor {
                     let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
                     for ((gx, &yi), &gi) in gx[o * len..(o + 1) * len].iter_mut().zip(yr).zip(gr) {
                         *gx = yi * (gi - dot);
-                    }
-                }
-                drop(y);
-                if parent.requires_grad() {
-                    parent.accumulate_grad(&gx);
-                }
-            }),
-        )
-    }
-
-    /// Numerically-stable log-softmax over the last axis.
-    pub fn log_softmax(&self) -> Tensor {
-        let (outer, len) = last_axis_extents(self.shape());
-        let data = self.data();
-        let mut out = crate::pool::take_scratch(data.len());
-        for o in 0..outer {
-            let row = &data[o * len..(o + 1) * len];
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-            for (ov, &v) in out[o * len..(o + 1) * len].iter_mut().zip(row) {
-                *ov = v - lse;
-            }
-        }
-        drop(data);
-        let parent = self.clone();
-        Tensor::from_op(
-            out,
-            self.shape().clone(),
-            vec![self.clone()],
-            Box::new(move |outt| {
-                let g = outt.out_grad();
-                let g: &[f32] = &g;
-                let y = outt.data();
-                // Scratch: every element is written below.
-                let mut gx = crate::pool::PooledBuf::scratch(y.len());
-                for o in 0..outer {
-                    let yr = &y[o * len..(o + 1) * len];
-                    let gr = &g[o * len..(o + 1) * len];
-                    let gsum: f32 = gr.iter().sum();
-                    for ((gx, &yi), &gi) in gx[o * len..(o + 1) * len].iter_mut().zip(yr).zip(gr) {
-                        *gx = gi - yi.exp() * gsum;
                     }
                 }
                 drop(y);
@@ -286,16 +245,6 @@ mod tests {
             m[i] -= h;
             let num = (f(&p) - f(&m)) / (2.0 * h);
             assert!((ga[i] - num).abs() < 1e-3, "{} vs {}", ga[i], num);
-        }
-    }
-
-    #[test]
-    fn log_softmax_matches_ln_of_softmax() {
-        let x = Tensor::from_vec(vec![0.5, -1.0, 2.0], [1, 3]);
-        let a = x.log_softmax().to_vec();
-        let b: Vec<f32> = x.softmax().to_vec().iter().map(|v| v.ln()).collect();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5);
         }
     }
 

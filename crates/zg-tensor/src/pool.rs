@@ -16,9 +16,6 @@
 //!   [`PooledBuf`], an RAII handle that returns the buffer on drop and
 //!   feeds the checked-out high-water counter consumed by
 //!   [`crate::GraphLeakGuard`].
-//! - [`set_pool_enabled`] turns recycling off (every take allocates fresh,
-//!   every recycle drops) so benchmarks can measure the unpooled baseline
-//!   on the same build.
 //!
 //! The pool is thread-local because [`crate::Tensor`] itself is
 //! single-threaded (`Rc`); each worker thread warms its own free-lists.
@@ -61,7 +58,6 @@ struct Pool {
     /// Free buffers keyed by their length (capacity may exceed it).
     free: BTreeMap<usize, Vec<Vec<f32>>>,
     retained_elems: usize,
-    disabled: bool,
     stats: PoolStats,
 }
 
@@ -89,10 +85,6 @@ fn take(n: usize, prep: Prep) -> Vec<f32> {
                 return None;
             }
             p.stats.takes += 1;
-            if p.disabled {
-                p.stats.misses += 1;
-                return None;
-            }
             let hi = n.saturating_mul(MAX_SLACK_FACTOR);
             let mut found: Option<(usize, Vec<f32>)> = None;
             if let Some((&len, bucket)) = p.free.range_mut(n..=hi).next() {
@@ -156,8 +148,8 @@ pub(crate) fn take_cleared(n: usize) -> Vec<f32> {
 }
 
 /// Offer a buffer back to this thread's free-list. Dropped (deallocated
-/// normally) when pooling is disabled, the buffer is too small, or the
-/// retained-bytes cap is reached.
+/// normally) when the buffer is too small or the retained-bytes cap is
+/// reached.
 pub(crate) fn recycle(v: Vec<f32>) {
     let len = v.len();
     if len < MIN_POOL_ELEMS {
@@ -167,7 +159,7 @@ pub(crate) fn recycle(v: Vec<f32>) {
     // buffer simply deallocates normally.
     let _ = POOL.try_with(|cell| {
         let mut p = cell.borrow_mut();
-        if p.disabled || p.retained_elems + len > MAX_RETAINED_ELEMS {
+        if p.retained_elems + len > MAX_RETAINED_ELEMS {
             return;
         }
         p.retained_elems += len;
@@ -328,20 +320,6 @@ impl Drop for PoolStatsScope {
     }
 }
 
-/// Enable or disable recycling on this thread; returns the previous state.
-///
-/// While disabled every take allocates fresh and every recycle drops, which
-/// is how `zg-bench` measures the unpooled baseline on the same build.
-pub fn set_pool_enabled(enabled: bool) -> bool {
-    POOL.try_with(|cell| {
-        let mut p = cell.borrow_mut();
-        let was = !p.disabled;
-        p.disabled = !enabled;
-        was
-    })
-    .unwrap_or(true)
-}
-
 /// Drop every buffer parked on this thread's free-list.
 pub fn clear_pool() {
     let _ = POOL.try_with(|cell| {
@@ -366,7 +344,6 @@ mod tests {
 
     /// Tests mutate thread-local pool state; each starts from a clean slate.
     fn reset() {
-        set_pool_enabled(true);
         clear_pool();
         reset_pool_stats();
     }
@@ -429,17 +406,6 @@ mod tests {
         assert_eq!(pool_stats().recycled, 0);
         let _ = take_zeroed(8);
         assert_eq!(pool_stats().hits, 0);
-    }
-
-    #[test]
-    fn disabled_pool_never_recycles() {
-        reset();
-        set_pool_enabled(false);
-        recycle(vec![1.0; 4096]);
-        let v = take_zeroed(4096);
-        assert_eq!(pool_stats().hits, 0);
-        drop(v);
-        set_pool_enabled(true);
     }
 
     #[test]

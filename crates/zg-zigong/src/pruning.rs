@@ -92,8 +92,13 @@ pub fn fit_agent_sequential(
 /// TracSeq influence scores for behavior samples via the agent model:
 /// sequential fit, per-period checkpoints, analytic gradients, Eq. 1 + 2.
 ///
-/// Runs on all available cores ([`ParallelConfig::auto`]); the parallel
-/// engine is bit-identical to serial, so this changes wall-clock only.
+/// Runs serially ([`ParallelConfig::serial`]): at the sizes `figure2`
+/// and `ablations` score (roughly 600 to 1,100 train records), threads
+/// cost more than they save — the `influence` bench's
+/// `agent_tracseq_800train_40test` pair reads 1.29 ms serial
+/// against 2.38 ms on all cores of a 2-vCPU host (medians). Scores are
+/// bit-identical for any worker count; [`agent_tracseq_scores_with`]
+/// takes one explicitly.
 pub fn agent_tracseq_scores(
     train: &[BehaviorSample],
     test: &[(Vec<f32>, bool)],
@@ -107,7 +112,7 @@ pub fn agent_tracseq_scores(
         gamma,
         decay_samples,
         seed,
-        &ParallelConfig::auto(),
+        &ParallelConfig::serial(),
     )
 }
 
@@ -204,7 +209,8 @@ where
 
 /// End-to-end selection for a behavior dataset: score train records with
 /// agent-TracSeq, rank, and build the paper's 70/30 hybrid mix of
-/// `total` sample indices (into `train`).
+/// `total` sample indices (into `train`). Scores serially, for the
+/// reason [`agent_tracseq_scores`] gives.
 pub fn hybrid_selection(
     train: &[&Record],
     test: &[&Record],
@@ -212,7 +218,7 @@ pub fn hybrid_selection(
     total: usize,
     seed: u64,
 ) -> Vec<usize> {
-    hybrid_selection_with(train, test, gamma, total, seed, &ParallelConfig::auto())
+    hybrid_selection_with(train, test, gamma, total, seed, &ParallelConfig::serial())
 }
 
 /// [`hybrid_selection`] with an explicit worker count. The random 70%
