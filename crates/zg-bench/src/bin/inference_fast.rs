@@ -10,12 +10,18 @@
 //!    auto kernel, so the ratio measures KV reuse alone;
 //! 4. Table-2 eval: `evaluate_zigong` on the naive kernel and one worker
 //!    (the oracle), on the auto kernel and one worker, and on the auto
-//!    kernel and every core.
+//!    kernel and every core;
+//! 5. tokenizer: the heap `BpeTokenizer::encode` vs `encode_rescan` on
+//!    served-shape prompts (a lending-policy preamble before a rendered
+//!    credit record, ~1.5 KB), and incremental-count `train` vs
+//!    `train_recount` on the bench corpus.
 //!
 //! Gates, reported once all have run (exit 1 if any fails): the SIMD
 //! kernel must clear a minimum speedup over naive (2x at 256³ full,
-//! 1.2x at 128³ quick), and Acc/F1/Miss/KS/AUC must carry the same bits
-//! in every eval stage of every round.
+//! 1.2x at 128³ quick), Acc/F1/Miss/KS/AUC must carry the same bits
+//! in every eval stage of every round, the tokenizer's fast paths must
+//! give the oracles' ids and merge lists in every round, and clear 5x
+//! (encode) and 3x (train) over them.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,10 +31,14 @@ use rand::SeedableRng;
 use zg_bench::{cell_bits, quick_mode, race, with_kernel, write_result, Gates, Window};
 use zg_model::{CausalLm, ModelConfig};
 use zg_tensor::{available_threads, gemm_naive, gemm_simd, simd_available, GemmKernel};
-use zg_tokenizer::Special;
+use zg_tokenizer::{BpeTokenizer, Special};
 use zg_zigong::{
     eval_items, evaluate_zigong, train_tokenizer, CellResult, EvalItem, ZiGongModel, SCORE_RESERVE,
 };
+
+/// Speed floors of the tokenizer's fast paths over their oracles.
+const ENCODE_MIN_SPEEDUP: f64 = 5.0;
+const TRAIN_MIN_SPEEDUP: f64 = 3.0;
 
 /// Deterministic pseudo-random buffer (xorshift; no RNG state shared
 /// with the model builders).
@@ -121,6 +131,89 @@ fn gemm_section(quick: bool, gate: usize) -> (serde_json::Value, f64) {
         }));
     }
     (serde_json::Value::Array(rows), gate_speedup)
+}
+
+/// A lending-policy preamble (~0.85 KB) of the kind served prompts put
+/// before a rendered credit record.
+const POLICY: &str = "Retail lending policy for consumer instalment loans. Apply every rule below before you assess the applicant.
+- Any delinquency of more than sixty days within the last three years requires a written explanation and a second approver.
+- Guarantors are assessed under the same standards as the primary borrower and must sign the full credit agreement.
+- Existing customers with an unblemished repayment history of five years may receive a reduced documentation review.
+- Self-employed applicants provide two years of tax assessments and a current statement of assets and liabilities.
+- Loans for purposes outside the published product catalogue are escalated to the regional credit committee for approval.
+- Residence at the current address for less than one year is weighed together with employment tenure and savings balance.
+
+";
+
+/// The tokenizer's fast paths against their oracles. Training races on
+/// the bench corpus (the bench model's SFT texts and the policy) at the
+/// Table 2 vocabulary; encoding races on the policy before each eval
+/// record, with the tokenizer trained there. Also returns both speedups
+/// and whether the ids and merge lists matched in every round.
+fn tokenizer_section(
+    examples: &[zg_instruct::InstructExample],
+    items: &[EvalItem<'_>],
+) -> (serde_json::Value, [f64; 2], bool) {
+    let mut corpus: Vec<String> = examples.iter().map(|e| e.full_text()).collect();
+    corpus.push(POLICY.to_string());
+    let corpus: Vec<&str> = corpus.iter().map(String::as_str).collect();
+    let mut matched = true;
+    let [recount, incremental] = race(
+        3,
+        [
+            &mut |_| BpeTokenizer::train_recount(&corpus, 768),
+            &mut |_| BpeTokenizer::train(&corpus, 768),
+        ],
+        |toks| matched &= toks[0] == toks[1],
+    );
+    let tok = incremental.out;
+    let prompts: Vec<String> = items
+        .iter()
+        .map(|it| format!("{POLICY}{}", it.example.prompt))
+        .collect();
+    let [rescan, heap] = race(
+        5,
+        [
+            &mut |_| prompts.iter().map(|p| tok.encode_rescan(p)).collect(),
+            &mut |_| prompts.iter().map(|p| tok.encode(p)).collect::<Vec<_>>(),
+        ],
+        |ids| matched &= ids[0] == ids[1],
+    );
+    let n = prompts.len() as f64;
+    let bytes = prompts.iter().map(String::len).sum::<usize>() as f64 / n;
+    let tokens = heap.out.iter().map(Vec::len).sum::<usize>() as f64 / n;
+    let speedups = [rescan.secs / heap.secs, recount.secs / incremental.secs];
+    println!(
+        "tokenizer encode ({} prompts, {bytes:.0} bytes -> {tokens:.0} tokens): rescan {:.2} ms, heap {:.3} ms ({:.1}x)",
+        prompts.len(),
+        rescan.secs / n * 1e3,
+        heap.secs / n * 1e3,
+        speedups[0],
+    );
+    println!(
+        "tokenizer train ({} docs, {} merges): recount {:.3} s, incremental {:.3} s ({:.1}x)",
+        corpus.len(),
+        tok.vocab_size() - zg_tokenizer::first_merge_id() as usize,
+        recount.secs,
+        incremental.secs,
+        speedups[1],
+    );
+    let json = serde_json::json!({
+        "prompts": prompts.len(),
+        "prompt_bytes": bytes,
+        "prompt_tokens": tokens,
+        "rescan_ms_per_prompt": rescan.secs / n * 1e3,
+        "heap_ms_per_prompt": heap.secs / n * 1e3,
+        "encode_speedup": speedups[0],
+        "corpus_docs": corpus.len(),
+        "corpus_bytes": corpus.iter().copied().map(str::len).sum::<usize>(),
+        "vocab_size": tok.vocab_size(),
+        "recount_s": recount.secs,
+        "incremental_s": incremental.secs,
+        "train_speedup": speedups[1],
+        "outputs_match": matched,
+    });
+    (json, speedups, matched)
 }
 
 /// The benchmark model: the Table 2 miniature geometry with a BPE
@@ -303,6 +396,8 @@ fn main() {
         items.len()
     );
 
+    let (tokenizer, [encode_speedup, train_speedup], tokenizer_match) =
+        tokenizer_section(&train_examples, &items);
     let decode = decode_section(&model, quick);
     let scoring = scoring_section(&model, &items[0]);
     let (table2, metrics_match) = table2_eval_section(&model, &items);
@@ -314,9 +409,12 @@ fn main() {
         "decode": decode,
         "scoring": scoring,
         "table2_eval": table2,
+        "tokenizer": tokenizer,
         "gates": serde_json::json!({
             "simd_gate_shape": gate_dim,
             "simd_min_speedup": simd_min_speedup,
+            "encode_min_speedup": ENCODE_MIN_SPEEDUP,
+            "train_min_speedup": TRAIN_MIN_SPEEDUP,
         }),
     }))
     .expect("benchmark serializes");
@@ -338,6 +436,25 @@ fn main() {
         "metrics match",
         metrics_match,
         "Acc/F1/Miss/KS/AUC bits differ between eval stages".into(),
+    );
+    gates.check(
+        "tokenizer match",
+        tokenizer_match,
+        "heap encode or incremental train differs from its oracle".into(),
+    );
+    gates.check(
+        "encode speedup",
+        encode_speedup >= ENCODE_MIN_SPEEDUP,
+        format!(
+            "heap encode is {encode_speedup:.1}x the rescan (need >= {ENCODE_MIN_SPEEDUP:.0}x)"
+        ),
+    );
+    gates.check(
+        "train speedup",
+        train_speedup >= TRAIN_MIN_SPEEDUP,
+        format!(
+            "incremental train is {train_speedup:.1}x the recount (need >= {TRAIN_MIN_SPEEDUP:.0}x)"
+        ),
     );
     gates.finish("inference_fast");
 }

@@ -5,13 +5,52 @@
 //! pair itself) until the target vocabulary size is reached. Encoding
 //! replays merges by rank. Everything round-trips losslessly because the
 //! base alphabet is all 256 bytes.
+//!
+//! **Rank invariant.** A pair that merge `r` forms always ranks after
+//! `r`. Training is the only constructor of merges: the merge list is
+//! private, [`BpeTokenizer::byte_level`] has none, and only
+//! [`BpeTokenizer::train`] and its oracle fill it. Training learns merge
+//! `r` from symbols that exist by then, bytes or the tokens of earlier
+//! merges, so the token merge `r` yields can only be a part of merges
+//! learned after it. Hence a merge's pair, once all its occurrences are
+//! merged, never re-forms, and encoding visits the ranks in increasing
+//! order, each once. A merge list from anywhere else (hand-written or
+//! loaded) could break the invariant, which is why none is accepted.
+//!
+//! **Encoding** is a heap merge over a doubly linked list of symbols, one
+//! per byte to start with. A min-heap holds `(rank, position)` for every
+//! adjacent pair that has a merge. Each pop takes the lowest rank and,
+//! within it, the leftmost position, and drops a stale entry: a left
+//! symbol absorbed by an earlier merge, no right neighbour, or a pair
+//! that no longer matches `merges[rank]`. A live entry splices its two
+//! symbols into the merged token and pushes the at most two pairs the
+//! token forms with its neighbours, which by the invariant rank after
+//! the one popped. So the pops replay [`BpeTokenizer::encode_rescan`]'s
+//! passes exactly: every occurrence of the lowest applicable rank, left
+//! to right and non-overlapping (`aaaa` becomes `aa aa`, `aaa` becomes
+//! `aa a`), before any occurrence of a higher rank. That is O(n log n)
+//! per text where the rescan is O(n) per merge applied.
+//!
+//! **Training** keeps the count of every adjacent pair in the corpus
+//! incrementally, in a `BTreeMap` beside the order it picks from: the
+//! highest count of at least 2, the smallest pair on ties. Each pair also
+//! keeps its sites, the positions where it formed. A merge visits only
+//! its own pair's sites, left to right, and drops stale ones as the
+//! encoder drops heap entries. At each site it takes away the at most
+//! three windows through the two merged symbols and adds the at most two
+//! through the new token; the changes are collected per pair and applied
+//! once the pass ends. So after every merge the counts equal a full
+//! recount of the merged corpus, which [`BpeTokenizer::train_recount`]
+//! makes before each of its merges, and both learn the same merge list.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use crate::vocab::{byte_token, first_merge_id, Special};
 
 /// A trained byte-level BPE tokenizer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BpeTokenizer {
     /// Learned merges in rank order: merging `(a, b)` yields token
     /// `first_merge_id() + rank`.
@@ -23,15 +62,62 @@ pub struct BpeTokenizer {
 impl BpeTokenizer {
     /// Tokenizer with no merges: pure byte-level encoding.
     pub fn byte_level() -> Self {
-        BpeTokenizer {
-            merges: Vec::new(),
-            merge_map: BTreeMap::new(),
-        }
+        Self::from_merges(Vec::new())
     }
 
     /// Train merges from a corpus until the vocabulary reaches `vocab_size`
     /// (specials + 256 bytes + merges), or no pair repeats.
     pub fn train(corpus: &[&str], vocab_size: usize) -> Self {
+        let base = first_merge_id();
+        let target_merges = vocab_size.saturating_sub(base as usize);
+        let mut list = Symbols::default();
+        for text in corpus {
+            list.push_text(text);
+        }
+        // The corpus's windows enter the counts as a merge's new ones do.
+        let mut counts = PairCounts::default();
+        let mut fresh = Changes::new();
+        for p in 0..list.sym.len() as u32 {
+            if let Some(pair) = list.pair_at(p) {
+                formed(&mut fresh, pair, p);
+            }
+        }
+        counts.apply(fresh);
+        let mut merges = Vec::with_capacity(target_merges);
+        for rank in 0..target_merges {
+            let Some(pair) = counts.best() else { break };
+            let id = base + rank as u32;
+            merges.push(pair);
+            // Collected per pair, so the counts change once per pair.
+            let mut changes = Changes::new();
+            for p in counts.take_sites(pair) {
+                if list.pair_at(p) != Some(pair) {
+                    continue;
+                }
+                // The windows through the two merged symbols go...
+                for w in [list.prev(p), p, list.next(p)] {
+                    if let Some(old) = list.pair_at(w) {
+                        changes.entry(old).or_default().0 -= 1;
+                    }
+                }
+                // ...and the ones through the new token come.
+                let left = list.merge_at(p, id);
+                for w in [left, p] {
+                    if let Some(new) = list.pair_at(w) {
+                        formed(&mut changes, new, w);
+                    }
+                }
+            }
+            counts.apply(changes);
+        }
+        Self::from_merges(merges)
+    }
+
+    /// The oracle for [`train`](Self::train): the same pick rule, with
+    /// every pair of the corpus recounted before each merge and every
+    /// sequence rewritten after it. Only tests and the `inference_fast`
+    /// gate call it.
+    pub fn train_recount(corpus: &[&str], vocab_size: usize) -> Self {
         let base = first_merge_id() as usize;
         let target_merges = vocab_size.saturating_sub(base);
         let mut seqs: Vec<Vec<u32>> = corpus
@@ -59,22 +145,18 @@ impl BpeTokenizer {
                 merge_in_place(seq, pair, new_id);
             }
         }
-        let mut tok = BpeTokenizer {
-            merges,
-            merge_map: BTreeMap::new(),
-        };
-        tok.rebuild_merge_map();
-        tok
+        Self::from_merges(merges)
     }
 
-    /// Rebuild the pair→id lookup from the merge list.
-    fn rebuild_merge_map(&mut self) {
-        self.merge_map = self
-            .merges
+    /// The tokenizer for a merge list in rank order, with its pair→id
+    /// lookup.
+    fn from_merges(merges: Vec<(u32, u32)>) -> Self {
+        let merge_map = merges
             .iter()
             .enumerate()
             .map(|(rank, &pair)| (pair, first_merge_id() + rank as u32))
             .collect();
+        BpeTokenizer { merges, merge_map }
     }
 
     /// Total vocabulary size: specials + bytes + merges.
@@ -84,6 +166,42 @@ impl BpeTokenizer {
 
     /// Encode text to token ids (no specials added).
     pub fn encode(&self, text: &str) -> Vec<u32> {
+        if self.merges.is_empty() || text.len() < 2 {
+            return text.bytes().map(byte_token).collect();
+        }
+        let mut list = Symbols::default();
+        list.push_text(text);
+        // Merged ids order like ranks, so the heap keys on the id.
+        let entry = |list: &Symbols, p: u32| {
+            let pair = list.pair_at(p)?;
+            self.merge_map.get(&pair).map(|&id| Reverse((id, p)))
+        };
+        let mut heap: BinaryHeap<_> = (0..text.len() as u32)
+            .filter_map(|p| entry(&list, p))
+            .collect();
+        while let Some(Reverse((id, p))) = heap.pop() {
+            let pair = self.merges[(id - first_merge_id()) as usize];
+            if list.pair_at(p) != Some(pair) {
+                continue;
+            }
+            let left = list.merge_at(p, id);
+            heap.extend([left, p].into_iter().filter_map(|w| entry(&list, w)));
+        }
+        // The first symbol of a text is never absorbed.
+        let mut ids = Vec::new();
+        let mut p = 0;
+        while p != NONE {
+            ids.push(list.sym[p as usize]);
+            p = list.next(p);
+        }
+        ids
+    }
+
+    /// The oracle for [`encode`](Self::encode): after every merge it
+    /// applies, rescan all adjacent pairs for the lowest-rank one and
+    /// merge all its occurrences left to right. Only tests and the
+    /// `inference_fast` gate call it.
+    pub fn encode_rescan(&self, text: &str) -> Vec<u32> {
         let mut seq: Vec<u32> = text.bytes().map(byte_token).collect();
         if self.merges.is_empty() || seq.len() < 2 {
             return seq;
@@ -137,6 +255,133 @@ impl BpeTokenizer {
     }
 }
 
+/// `next`/`prev` of a symbol at either end of its text.
+const NONE: u32 = u32::MAX;
+/// `sym` of a position absorbed by the merge at its left neighbour.
+const DEAD: u32 = u32::MAX;
+
+/// Texts as doubly linked lists of symbols, all in one array. A merge
+/// keeps its left position and kills its right one, so positions stay
+/// stable, order like the text, and the first symbol of a text never
+/// dies.
+#[derive(Default)]
+struct Symbols {
+    sym: Vec<u32>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Symbols {
+    /// Append `text`'s bytes as a list of its own.
+    fn push_text(&mut self, text: &str) {
+        let len = self.sym.len() + text.len();
+        assert!(len < NONE as usize, "BPE input of 4 GiB or more");
+        let (start, end) = (self.sym.len() as u32, len as u32);
+        for (p, b) in (start..end).zip(text.bytes()) {
+            self.sym.push(byte_token(b));
+            self.prev.push(if p == start { NONE } else { p - 1 });
+            self.next.push(if p + 1 == end { NONE } else { p + 1 });
+        }
+    }
+
+    fn prev(&self, p: u32) -> u32 {
+        self.prev[p as usize]
+    }
+
+    fn next(&self, p: u32) -> u32 {
+        self.next[p as usize]
+    }
+
+    /// The pair whose left symbol is at `p`: `None` when `p` is `NONE`,
+    /// dead, or the last symbol of its text.
+    fn pair_at(&self, p: u32) -> Option<(u32, u32)> {
+        let p = p as usize;
+        let (&a, &q) = (self.sym.get(p)?, self.next.get(p)?);
+        (a != DEAD && q != NONE).then(|| (a, self.sym[q as usize]))
+    }
+
+    /// Splice the symbol at `p` and its right neighbour into token `id`;
+    /// returns `p`'s left neighbour (or `NONE`), whose pair changed too.
+    fn merge_at(&mut self, p: u32, id: u32) -> u32 {
+        let q = self.next(p);
+        let r = self.next(q);
+        self.sym[p as usize] = id;
+        self.sym[q as usize] = DEAD;
+        self.next[p as usize] = r;
+        if r != NONE {
+            self.prev[r as usize] = p;
+        }
+        self.prev(p)
+    }
+}
+
+/// Per pair, a count change and the positions where the pair formed.
+type Changes = BTreeMap<(u32, u32), (isize, Vec<u32>)>;
+
+/// Record one window of `pair` that formed at position `p`.
+fn formed(changes: &mut Changes, pair: (u32, u32), p: u32) {
+    let e = changes.entry(pair).or_default();
+    e.0 += 1;
+    e.1.push(p);
+}
+
+/// The corpus's adjacent-pair counts, ordered the way
+/// [`BpeTokenizer::train`] picks (the highest count first, the smallest
+/// pair on ties), and each pair's sites: the positions where it formed,
+/// stale once a merge changes the pair there.
+#[derive(Default)]
+struct PairCounts {
+    count: BTreeMap<(u32, u32), usize>,
+    order: BTreeSet<(Reverse<usize>, (u32, u32))>,
+    sites: BTreeMap<(u32, u32), Vec<u32>>,
+}
+
+impl PairCounts {
+    /// Apply a pass's changes, once per pair.
+    fn apply(&mut self, changes: Changes) {
+        for (pair, (delta, formed)) in changes {
+            let old = self.count.get(&pair).copied().unwrap_or(0);
+            let new = (old as isize + delta) as usize;
+            if new != old {
+                self.order.remove(&(Reverse(old), pair));
+                if new > 0 {
+                    self.order.insert((Reverse(new), pair));
+                }
+            }
+            if new == 0 {
+                // No window of the pair is left, so all its sites are stale.
+                self.count.remove(&pair);
+                self.sites.remove(&pair);
+                continue;
+            }
+            self.count.insert(pair, new);
+            match self.sites.entry(pair) {
+                Entry::Vacant(e) => {
+                    e.insert(formed);
+                }
+                Entry::Occupied(mut e) => e.get_mut().extend(formed),
+            }
+        }
+    }
+
+    /// The next merge: the most frequent pair that occurs at least
+    /// twice, the smallest on ties.
+    fn best(&self) -> Option<(u32, u32)> {
+        let &(Reverse(count), pair) = self.order.first()?;
+        (count >= 2).then_some(pair)
+    }
+
+    /// `pair`'s sites, in text order as a merge must visit them. They
+    /// are pushed in that order: a pair forms only in the pass that makes
+    /// the larger of its two tokens (both are bytes, or one is that
+    /// pass's new token), and a pass walks left to right.
+    fn take_sites(&mut self, pair: (u32, u32)) -> Vec<u32> {
+        let at = self.sites.remove(&pair).unwrap_or_default();
+        debug_assert!(at.is_sorted(), "sites of {pair:?} out of text order");
+        at
+    }
+}
+
 /// Replace every adjacent occurrence of `pair` with `new_id`, in place.
 fn merge_in_place(seq: &mut Vec<u32>, pair: (u32, u32), new_id: u32) {
     let mut write = 0usize;
@@ -177,6 +422,22 @@ mod tests {
         let mut seq = vec![1, 1, 1];
         merge_in_place(&mut seq, (1, 1), 9);
         assert_eq!(seq, vec![9, 1]);
+    }
+
+    #[test]
+    fn heap_encode_merges_overlapping_runs_left_to_right() {
+        let tok = BpeTokenizer::train(&["aaaaaaaa"], first_merge_id() as usize + 2);
+        let (a, aa, aaaa) = (byte_token(b'a'), first_merge_id(), first_merge_id() + 1);
+        assert_eq!(tok.merges, [(a, a), (aa, aa)]);
+        for (text, want) in [
+            ("aaa", vec![aa, a]),
+            ("aaaa", vec![aaaa]),
+            ("aaaaa", vec![aaaa, a]),
+            ("aaaaaaa", vec![aaaa, aa, a]),
+        ] {
+            assert_eq!(tok.encode(text), want, "{text}");
+            assert_eq!(tok.encode_rescan(text), want, "{text}");
+        }
     }
 
     #[test]
