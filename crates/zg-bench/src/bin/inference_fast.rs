@@ -9,27 +9,35 @@
 //!    candidate) vs `score_continuation_full` per candidate, both on the
 //!    auto kernel, so the ratio measures KV reuse alone;
 //! 4. Table-2 eval: `evaluate_zigong` on the naive kernel and one worker
-//!    (the oracle), on the auto kernel and one worker, and on the auto
-//!    kernel and every core;
+//!    (the oracle also runs with op fast paths off, so its decisions
+//!    take the composite attention path), on the auto kernel and one
+//!    worker, and on the auto kernel and every core;
 //! 5. tokenizer: the heap `BpeTokenizer::encode` vs `encode_rescan` on
 //!    served-shape prompts (a lending-policy preamble before a rendered
 //!    credit record, ~1.5 KB), and incremental-count `train` vs
-//!    `train_recount` on the bench corpus.
+//!    `train_recount` on the bench corpus;
+//! 6. attention: `CausalLm::prefill` of a served-shape prompt chunk, and
+//!    a decode step after it, with op fast paths on (the fused
+//!    sliding-window kernel) vs off (the composite attention path).
 //!
 //! Gates, reported once all have run (exit 1 if any fails): the SIMD
 //! kernel must clear a minimum speedup over naive (2x at 256³ full,
 //! 1.2x at 128³ quick), Acc/F1/Miss/KS/AUC must carry the same bits
 //! in every eval stage of every round, the tokenizer's fast paths must
 //! give the oracles' ids and merge lists in every round, and clear 5x
-//! (encode) and 3x (train) over them.
+//! (encode) and 3x (train) over them, and the fused attention must give
+//! the composite path's logit bits in every round and clear its floors
+//! over it (prefill and decode step).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use zg_bench::{cell_bits, quick_mode, race, with_kernel, write_result, Gates, Window};
-use zg_model::{CausalLm, ModelConfig};
+use rand::{Rng, SeedableRng};
+use zg_bench::{
+    cell_bits, quick_mode, race, with_fast_paths, with_kernel, write_result, Gates, Window,
+};
+use zg_model::{CausalLm, KvCache, ModelConfig};
 use zg_tensor::{available_threads, gemm_naive, gemm_simd, simd_available, GemmKernel};
 use zg_tokenizer::{BpeTokenizer, Special};
 use zg_zigong::{
@@ -39,6 +47,11 @@ use zg_zigong::{
 /// Speed floors of the tokenizer's fast paths over their oracles.
 const ENCODE_MIN_SPEEDUP: f64 = 5.0;
 const TRAIN_MIN_SPEEDUP: f64 = 3.0;
+
+/// Speed floors of the fused attention kernel over the composite path,
+/// on a served-shape prompt chunk and on a decode step.
+const PREFILL_MIN_SPEEDUP: f64 = 1.5;
+const STEP_MIN_SPEEDUP: f64 = 1.5;
 
 /// Deterministic pseudo-random buffer (xorshift; no RNG state shared
 /// with the model builders).
@@ -216,6 +229,94 @@ fn tokenizer_section(
     (json, speedups, matched)
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The fused attention kernel against the composite path (op fast paths
+/// off) at the served shape: the Table 2 miniature geometry over a
+/// 1,024-token vocabulary and 768 positions, random weights, a 78-token
+/// prompt chunk after a 234-token cached prefix (the cache keeps the
+/// last 128 positions, the sliding window), then one decode step. Each
+/// run feeds the chunk, or the step, through `calls` forks of the same
+/// cache. Also returns both speedups and whether every round's logits
+/// carried the same bits.
+fn attention_section(quick: bool) -> (serde_json::Value, [f64; 2], bool) {
+    const PREFIX: usize = 234;
+    const CHUNK: usize = 78;
+    let mut rng = StdRng::seed_from_u64(0xA77E);
+    let mut cfg = ModelConfig::mistral_miniature(1024);
+    cfg.max_seq_len = 768;
+    let lm = CausalLm::new(cfg, &mut rng);
+    let ids: Vec<u32> = (0..PREFIX + CHUNK + 1)
+        .map(|_| rng.gen_range(4..1024))
+        .collect();
+    let (prefix, chunk, next) = (
+        &ids[..PREFIX],
+        &ids[PREFIX..PREFIX + CHUNK],
+        ids[PREFIX + CHUNK],
+    );
+    let mut cached = lm.new_cache();
+    lm.prefill(prefix, &mut cached);
+    let mut after = cached.fork();
+    lm.prefill(chunk, &mut after);
+    let (calls, reps) = if quick { (20, 3) } else { (200, 7) };
+    let runs = |on: bool, cache: &KvCache, feed: &dyn Fn(&mut KvCache) -> Vec<f32>| {
+        with_fast_paths(on, || {
+            (0..calls)
+                .map(|_| feed(&mut cache.fork()))
+                .last()
+                .expect("at least one call")
+        })
+    };
+    let mut matched = true;
+    let prefill = |c: &mut KvCache| lm.prefill(chunk, c);
+    let [p_off, p_on] = race(
+        reps,
+        [&mut |_| runs(false, &cached, &prefill), &mut |_| {
+            runs(true, &cached, &prefill)
+        }],
+        |logits| matched &= bits(&logits[0]) == bits(&logits[1]),
+    );
+    let step = |c: &mut KvCache| lm.step(next, c);
+    let [s_off, s_on] = race(
+        reps,
+        [&mut |_| runs(false, &after, &step), &mut |_| {
+            runs(true, &after, &step)
+        }],
+        |logits| matched &= bits(&logits[0]) == bits(&logits[1]),
+    );
+    let ms = |secs: f64| secs / calls as f64 * 1e3;
+    let speedups = [p_off.secs / p_on.secs, s_off.secs / s_on.secs];
+    println!(
+        "attention prefill ({CHUNK} tokens after {PREFIX} cached): composite {:.3} ms, fused {:.3} ms ({:.2}x)",
+        ms(p_off.secs),
+        ms(p_on.secs),
+        speedups[0],
+    );
+    println!(
+        "attention decode step (after {} cached): composite {:.3} ms, fused {:.3} ms ({:.2}x)",
+        PREFIX + CHUNK,
+        ms(s_off.secs),
+        ms(s_on.secs),
+        speedups[1],
+    );
+    let json = serde_json::json!({
+        "prefix_tokens": PREFIX,
+        "chunk_tokens": CHUNK,
+        "sliding_window": lm.cfg.sliding_window,
+        "calls_per_run": calls,
+        "composite_prefill_ms": ms(p_off.secs),
+        "fused_prefill_ms": ms(p_on.secs),
+        "prefill_speedup": speedups[0],
+        "composite_step_ms": ms(s_off.secs),
+        "fused_step_ms": ms(s_on.secs),
+        "step_speedup": speedups[1],
+        "outputs_match": matched,
+    });
+    (json, speedups, matched)
+}
+
 /// The benchmark model: the Table 2 miniature geometry with a BPE
 /// tokenizer trained to the Table 2 vocabulary target, and random
 /// weights (inference cost does not depend on training).
@@ -318,7 +419,10 @@ fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> (serde_json::
     let [oracle, auto, par] = race(
         2,
         [
-            &mut |_| eval(GemmKernel::Naive, 1),
+            // The full oracle: naive GEMM and reference op kernels,
+            // composite attention included. One worker runs inline, so
+            // the thread-local switch reaches every decision.
+            &mut |_| with_fast_paths(false, || eval(GemmKernel::Naive, 1)),
             &mut |_| eval(GemmKernel::Auto, 1),
             &mut |_| eval(GemmKernel::Auto, workers),
         ],
@@ -329,7 +433,7 @@ fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> (serde_json::
     );
     let n = items.len() as f64;
     let stages: Vec<serde_json::Value> = [
-        ("naive gemm, 1 worker (oracle)", 1, &oracle),
+        ("naive gemm, fast paths off, 1 worker (oracle)", 1, &oracle),
         ("auto gemm, 1 worker", 1, &auto),
         ("auto gemm, all workers", workers, &par),
     ]
@@ -401,6 +505,7 @@ fn main() {
     let decode = decode_section(&model, quick);
     let scoring = scoring_section(&model, &items[0]);
     let (table2, metrics_match) = table2_eval_section(&model, &items);
+    let (attention, [prefill_speedup, step_speedup], attention_match) = attention_section(quick);
 
     let out = serde_json::to_string_pretty(&serde_json::json!({
         "host_threads": available_threads(),
@@ -410,11 +515,14 @@ fn main() {
         "scoring": scoring,
         "table2_eval": table2,
         "tokenizer": tokenizer,
+        "attention": attention,
         "gates": serde_json::json!({
             "simd_gate_shape": gate_dim,
             "simd_min_speedup": simd_min_speedup,
             "encode_min_speedup": ENCODE_MIN_SPEEDUP,
             "train_min_speedup": TRAIN_MIN_SPEEDUP,
+            "prefill_min_speedup": PREFILL_MIN_SPEEDUP,
+            "step_min_speedup": STEP_MIN_SPEEDUP,
         }),
     }))
     .expect("benchmark serializes");
@@ -454,6 +562,25 @@ fn main() {
         train_speedup >= TRAIN_MIN_SPEEDUP,
         format!(
             "incremental train is {train_speedup:.1}x the recount (need >= {TRAIN_MIN_SPEEDUP:.0}x)"
+        ),
+    );
+    gates.check(
+        "attention match",
+        attention_match,
+        "fused attention logits differ from the composite path".into(),
+    );
+    gates.check(
+        "prefill speedup",
+        prefill_speedup >= PREFILL_MIN_SPEEDUP,
+        format!(
+            "fused prefill is {prefill_speedup:.2}x the composite path (need >= {PREFILL_MIN_SPEEDUP:.2}x)"
+        ),
+    );
+    gates.check(
+        "step speedup",
+        step_speedup >= STEP_MIN_SPEEDUP,
+        format!(
+            "fused decode step is {step_speedup:.2}x the composite path (need >= {STEP_MIN_SPEEDUP:.2}x)"
         ),
     );
     gates.finish("inference_fast");

@@ -20,9 +20,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zg_bench::{quick_mode, race, with_kernel, write_result, Gates, Window};
+use zg_bench::{quick_mode, race, with_fast_paths, with_kernel, write_result, Gates, Window};
 use zg_model::{CausalLm, ModelConfig};
-use zg_tensor::{available_threads, pool_stats, set_op_fast_paths, GemmKernel};
+use zg_tensor::{available_threads, pool_stats, GemmKernel};
 use zg_zigong::{tokenize_all, train_sft_profiled, train_tokenizer, TrainConfig, TrainOrder};
 
 fn bench_lm(vocab: usize, seed: u64) -> CausalLm {
@@ -114,10 +114,7 @@ fn main() {
             // on the naive GEMM.
             &mut |w| {
                 with_kernel(GemmKernel::Naive, || {
-                    let prev = set_op_fast_paths(false);
-                    let report = train(&cfg, w);
-                    set_op_fast_paths(prev);
-                    report
+                    with_fast_paths(false, || train(&cfg, w))
                 })
             },
             &mut |w| with_kernel(GemmKernel::Auto, || train(&cfg, w)),

@@ -24,7 +24,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use zg_tensor::{set_gemm_kernel, GemmKernel};
+use zg_tensor::{set_gemm_kernel, set_op_fast_paths, GemmKernel};
 use zg_zigong::CellResult;
 
 /// Where experiment outputs are written.
@@ -87,6 +87,16 @@ pub fn with_kernel<T>(kernel: GemmKernel, f: impl FnOnce() -> T) -> T {
     let prev = set_gemm_kernel(kernel);
     let out = f();
     set_gemm_kernel(prev);
+    out
+}
+
+/// Run `f` with this thread's op fast paths pinned to `on` (off runs
+/// the reference kernels they must reproduce), then restore the previous
+/// setting.
+pub fn with_fast_paths<T>(on: bool, f: impl FnOnce() -> T) -> T {
+    let prev = set_op_fast_paths(on);
+    let out = f();
+    set_op_fast_paths(prev);
     out
 }
 

@@ -38,6 +38,10 @@ impl TransformerBlock {
     }
 
     /// Forward with residual connections.
+    ///
+    /// Multi-token KV-cache chunks (prompt ingestion) open `block.attn`
+    /// and `block.mlp` spans, the rule `model.prefill` follows: none per
+    /// decode step, none in training forwards.
     pub fn forward(
         &self,
         x: &Tensor,
@@ -45,11 +49,17 @@ impl TransformerBlock {
         pos_offset: usize,
         cache: Option<&mut LayerKvCache>,
     ) -> Tensor {
-        let h = x.add(
-            &self
-                .attn
-                .forward(&self.attn_norm.forward(x), rope, pos_offset, cache),
-        );
+        let traced = cache.is_some() && x.dims()[1] > 1;
+        let span = |name| traced.then(|| zg_trace::span(name));
+        let h = {
+            let _span = span("block.attn");
+            x.add(
+                &self
+                    .attn
+                    .forward(&self.attn_norm.forward(x), rope, pos_offset, cache),
+            )
+        };
+        let _span = span("block.mlp");
         h.add(&self.mlp.forward(&self.mlp_norm.forward(&h)))
     }
 

@@ -113,7 +113,9 @@ impl CausalLm {
     }
 
     /// Feed `tokens` through the KV cache in one chunked forward (batch 1)
-    /// and return the next-token logits `(vocab,)` after the final token.
+    /// and return the next-token logits `(vocab,)` after the final token:
+    /// [`CausalLm::ingest`], then the final norm and LM head on the last
+    /// position.
     ///
     /// This is the fast path for prompt ingestion: one forward over the
     /// whole chunk instead of a per-token [`CausalLm::step`] loop, and the
@@ -122,6 +124,29 @@ impl CausalLm {
     /// Runs entirely under [`no_grad`], so decoding never builds backward
     /// closures regardless of the caller's scope.
     pub fn prefill(&self, tokens: &[u32], cache: &mut KvCache) -> Vec<f32> {
+        let _span = chunk_span(tokens.len());
+        no_grad(|| {
+            let h = self.feed(tokens, cache);
+            self.head(&h.narrow(1, tokens.len() - 1, 1)).to_vec()
+        })
+    }
+
+    /// Feed `tokens` through the KV cache (batch 1) without the final norm
+    /// and LM head: the cache afterwards is exactly what
+    /// [`CausalLm::prefill`] leaves, but no logits are computed. For
+    /// chunks whose next-token distribution is never read, such as the
+    /// intermediate chunks of a split prefill.
+    pub fn ingest(&self, tokens: &[u32], cache: &mut KvCache) {
+        let _span = chunk_span(tokens.len());
+        no_grad(|| {
+            self.feed(tokens, cache);
+        });
+    }
+
+    /// Run `tokens` through every block on the KV cache (batch 1), advance
+    /// the cache position, and return the last block's output
+    /// `(1, t, d_model)`. Callers hold the [`no_grad`] scope.
+    fn feed(&self, tokens: &[u32], cache: &mut KvCache) -> Tensor {
         assert!(!tokens.is_empty(), "prefill needs at least one token");
         let t = tokens.len();
         assert!(
@@ -130,24 +155,12 @@ impl CausalLm {
             cache.pos,
             self.cfg.max_seq_len
         );
-        // Single-token chunks are cached decode steps; multi-token chunks
-        // are prompt ingestion. Spans only for the latter — a span per
-        // decoded token would dominate the trace.
-        let _span = if t > 1 {
-            zg_trace::counter_add("model.prefill_tokens", t as f64);
-            Some(zg_trace::span_arg("model.prefill", t as i64))
-        } else {
-            zg_trace::counter_add("model.decode_steps", 1.0);
-            None
-        };
-        no_grad(|| {
-            let mut h = self.embed.forward(tokens, 1, t);
-            for (block, layer_cache) in self.blocks.iter().zip(&mut cache.layers) {
-                h = block.forward(&h, &self.rope, cache.pos, Some(layer_cache));
-            }
-            cache.pos += t;
-            self.head(&h.narrow(1, t - 1, 1)).to_vec()
-        })
+        let mut h = self.embed.forward(tokens, 1, t);
+        for (block, layer_cache) in self.blocks.iter().zip(&mut cache.layers) {
+            h = block.forward(&h, &self.rope, cache.pos, Some(layer_cache));
+        }
+        cache.pos += t;
+        h
     }
 
     /// Next-token cross-entropy over a batch.
@@ -360,6 +373,19 @@ impl CausalLm {
             assert_eq!(saved.dims(), p.dims(), "shape mismatch for {name}");
             p.set_data(&saved.data());
         }
+    }
+}
+
+/// Trace a KV-cache chunk of `t` tokens. Single-token chunks are cached
+/// decode steps; multi-token chunks are prompt ingestion. Spans only for
+/// the latter — a span per decoded token would dominate the trace.
+fn chunk_span(t: usize) -> Option<zg_trace::Span> {
+    if t > 1 {
+        zg_trace::counter_add("model.prefill_tokens", t as f64);
+        Some(zg_trace::span_arg("model.prefill", t as i64))
+    } else {
+        zg_trace::counter_add("model.decode_steps", 1.0);
+        None
     }
 }
 

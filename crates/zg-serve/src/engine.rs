@@ -256,8 +256,9 @@ fn prefill_shared(
             continue;
         }
         // INVARIANT: from < b < ids.len() by the guard above, so the chunk
-        // and key slices are in bounds and non-empty.
-        lm.prefill(&ids[from..b], &mut cache);
+        // and key slices are in bounds and non-empty. No logits are read
+        // here, so the chunk skips the LM head.
+        lm.ingest(&ids[from..b], &mut cache);
         // INVARIANT: b < ids.len() by the same guard, so the key slice is
         // in bounds.
         leases.push(pool.insert(&ids[..b], cache.fork()));

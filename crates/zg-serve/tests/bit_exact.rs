@@ -5,7 +5,9 @@
 //! be exact-`f64` equal to `ZiGongModel::evaluate_item` on the same
 //! item — across worker counts, request interleavings, prefix sharing
 //! (hits and misses), sliding-window overflow, and the truncation
-//! fallback path. These tests pin that contract.
+//! fallback path — and, with op fast paths off offline, to the composite
+//! attention path the served fused kernel must reproduce. These tests
+//! pin that contract.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,6 +147,27 @@ fn served_scores_bit_identical_to_offline_shared_path() {
     for workers in [1usize, 2, 3, 5] {
         let served = serve_eval(&m, &items, workers, &identity);
         assert_bit_equal(&served, &offline, &format!("workers={workers}"));
+    }
+}
+
+/// The replicas run the fused sliding-window attention kernel (op fast
+/// paths on, their default); the offline evaluator with op fast paths
+/// off runs the composite attention path, its oracle. Prompts run past
+/// the sliding window, so chunks after a cached prefix drop keys, and
+/// the replies must still match bit for bit.
+#[test]
+fn served_scores_bit_identical_to_composite_attention_oracle() {
+    let mut m = model(1024);
+    let ds = german(16, 9);
+    let refs: Vec<_> = ds.records.iter().take(4).collect();
+    let items = eval_items(&ds, &refs);
+    let prev = zg_tensor::set_op_fast_paths(false);
+    let oracle = offline_eval(&mut m, &items);
+    zg_tensor::set_op_fast_paths(prev);
+    let identity: Vec<usize> = (0..items.len()).collect();
+    for workers in [1usize, 2] {
+        let served = serve_eval(&m, &items, workers, &identity);
+        assert_bit_equal(&served, &oracle, &format!("oracle workers={workers}"));
     }
 }
 
